@@ -1,9 +1,7 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Placeholder build script: the package declares no install metadata.
 
-``pip install -e .`` requires ``bdist_wheel`` on this toolchain; the
-classic ``python setup.py develop`` path (or ``pip install -e .
---no-build-isolation`` on newer toolchains) works with this shim.
-All metadata lives in ``pyproject.toml``.
+Everything runs from a checkout with ``PYTHONPATH=src``; nothing is
+installed.  The CI setup action keys its pip cache on this file.
 """
 
 from setuptools import setup

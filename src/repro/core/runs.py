@@ -31,8 +31,8 @@ class PreparedRun:
 
     The ``prepare_*`` front-ends below split run assembly (placement,
     pre-flight UXS verification, agent program construction) from
-    execution so the cohort executor can collect many same-graph
-    simulations and drive them in lockstep; ``finalize`` turns a
+    execution, so a caller can drive :attr:`simulation` itself (the
+    faulted runner does); ``finalize`` turns a
     :class:`~repro.sim.scheduler.SimulationResult` — however obtained —
     into the same validated report ``run()`` returns.
     """

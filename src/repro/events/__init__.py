@@ -15,10 +15,10 @@ Layout:
     the global once at construction time; when nothing is attached the
     cost is a single ``is None`` check.
 ``processors``
-    The ``EventProcessor`` protocol (sync + async variants) and the
-    shipped processors: ``ListProcessor`` (tests),
-    ``JsonlTraceProcessor`` (structured capture) and
-    ``ConsoleProgressProcessor`` (line-atomic progress rendering).
+    The ``EventProcessor`` protocol and the shipped processors:
+    ``ListProcessor`` (tests), ``JsonlTraceProcessor`` (structured
+    capture) and ``ConsoleProgressProcessor`` (line-atomic progress
+    rendering).
 ``schema``
     Introspection + validation of event payloads and JSONL traces.
 ``replay``
@@ -31,7 +31,6 @@ See docs/observability.md for the taxonomy and the version policy.
 """
 
 from .processors import (
-    AsyncEventProcessor,
     ConsoleProgressProcessor,
     EventProcessor,
     JsonlTraceProcessor,
@@ -42,7 +41,6 @@ from .types import (
     SCHEMA_VERSION,
     AgentMove,
     BackendChunkClaimed,
-    CohortEject,
     Event,
     RoundAdvance,
     SearchRoundFrontier,
@@ -68,7 +66,6 @@ __all__ = [
     "AgentMove",
     "WalkSegment",
     "WatchFired",
-    "CohortEject",
     "TrialStart",
     "TrialEnd",
     "SweepStart",
@@ -82,7 +79,6 @@ __all__ = [
     "attached",
     "current",
     "EventProcessor",
-    "AsyncEventProcessor",
     "ListProcessor",
     "JsonlTraceProcessor",
     "ConsoleProgressProcessor",

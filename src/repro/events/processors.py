@@ -1,8 +1,7 @@
 """The ``EventProcessor`` protocol and the shipped processors.
 
-``EventProcessor`` is the sync contract; ``AsyncEventProcessor`` adds
-awaitable variants for async consumers (the dispatcher awaits
-``on_event_async`` when present).  Three concrete processors ship:
+``EventProcessor`` is the consumer contract.  Three concrete processors
+ship:
 
 ``ListProcessor``
     Collects events in order — the test workhorse.
@@ -46,24 +45,6 @@ class EventProcessor(Protocol):
 
     def shutdown(self) -> None:
         """Flush and release resources.  Called once, on detach."""
-
-
-@runtime_checkable
-class AsyncEventProcessor(Protocol):
-    """Asynchronous event consumer.
-
-    The composite dispatcher awaits ``on_event_async`` when emitting
-    via ``emit_async``; the sync ``on_event`` must still work (the
-    scheduler hot path is synchronous).
-    """
-
-    def on_event(self, event: Event) -> None: ...
-
-    async def on_event_async(self, event: Event) -> None: ...
-
-    def shutdown(self) -> None: ...
-
-    async def shutdown_async(self) -> None: ...
 
 
 class ListProcessor:

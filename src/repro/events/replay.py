@@ -10,9 +10,7 @@ The HTML viewer animates the gathering dance: agents walking the port
 graph round by round, reconstructed from ``SimulationStart`` (the
 graph), ``AgentMove`` events and expanded ``WalkSegment`` routes —
 the same expansion trace mode applies to ``move_log``.  Scenes are
-delimited by ``SimulationStart``/``SimulationEnd`` pairs; traces from
-lockstep-cohort runs interleave scenes and are better inspected with
-``trace summary`` (see docs/observability.md).
+delimited by ``SimulationStart``/``SimulationEnd`` pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ _SIM_EVENTS = {
     "AgentMove",
     "WalkSegment",
     "WatchFired",
-    "CohortEject",
 }
 
 

@@ -23,7 +23,6 @@ them.  On scope exit only the newly added processors are shut down.
 
 from __future__ import annotations
 
-import inspect
 from contextlib import contextmanager
 
 
@@ -45,23 +44,12 @@ class EventDispatcher:
         for proc in self.processors:
             proc.on_event(event)
 
-    async def emit_async(self, event) -> None:
-        """Like :meth:`emit`, awaiting async processors."""
-        for proc in self.processors:
-            handler = getattr(proc, "on_event_async", None)
-            if handler is not None:
-                await handler(event)
-            else:
-                proc.on_event(event)
-
     def close(self) -> None:
         """Shut every processor down (first error wins, all run)."""
         first: Exception | None = None
         for proc in self.processors:
             try:
-                outcome = proc.shutdown()
-                if inspect.isawaitable(outcome):
-                    outcome.close()
+                proc.shutdown()
             except Exception as exc:  # noqa: BLE001 - re-raised below
                 if first is None:
                     first = exc

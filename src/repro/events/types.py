@@ -31,7 +31,7 @@ class Event:
 
 
 # --------------------------------------------------------------------
-# Simulation layer (emitted by sim/scheduler.py and sim/cohort.py)
+# Simulation layer (emitted by sim/scheduler.py)
 # --------------------------------------------------------------------
 
 
@@ -110,17 +110,6 @@ class WatchFired(Event):
     agent: int
     node: int
     count: int
-
-
-@dataclass(frozen=True, slots=True)
-class CohortEject(Event):
-    """The lockstep cohort executor ejected trial ``trial`` to the
-    scalar scheduler; ``reason`` is the divergence tag (``watch`` /
-    ``dormant-wake`` / ``walk-fallback`` / ``trace`` / ``fault`` /
-    ``dynamics``)."""
-
-    trial: int
-    reason: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,7 +242,6 @@ EVENT_TYPES: dict[str, type[Event]] = {
         AgentMove,
         WalkSegment,
         WatchFired,
-        CohortEject,
         FaultInjected,
         EdgeBlocked,
         TrialStart,

@@ -66,15 +66,5 @@ __all__ = [
     "to_prometheus",
     "validate_snapshot",
     "write_snapshot",
-    "MetricsEventProcessor",
 ]
 
-
-def __getattr__(name: str):
-    # Lazy: repro.metrics.events imports repro.events; keep the core
-    # registry importable from the sim layer without that edge.
-    if name == "MetricsEventProcessor":
-        from .events import MetricsEventProcessor
-
-        return MetricsEventProcessor
-    raise AttributeError(name)

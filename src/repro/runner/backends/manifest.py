@@ -65,6 +65,7 @@ from ...explore.uxs import UXSProvider
 from ...metrics import registry as _metrics_registry
 from ...metrics import snapshot as _metrics_snapshot
 from ..spec import ExperimentSpec
+from ..store import json_text, write_atomic
 from ..trial import execute_trial
 from .base import BackendContext, BackendError
 
@@ -106,16 +107,6 @@ def manifest_dir(root: str | os.PathLike, spec_hash: str) -> pathlib.Path:
 
 def _chunk_name(chunk_id: int) -> str:
     return f"chunk-{chunk_id:04d}"
-
-
-def _write_atomic(path: pathlib.Path, payload: dict) -> None:
-    # The temp name carries the pid: the manifest dir is shared, and
-    # two hosts racing to create the (identical) manifest must not
-    # interleave writes into one temp file.
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    tmp = path.with_suffix(f".tmp-{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def estimate_trial_cost(trial) -> int:
@@ -247,14 +238,14 @@ def ensure_manifest(
                 keys[start:start + chunk_size]
                 for start in range(0, len(keys), chunk_size)
             ]
-            _write_atomic(path, {
+            write_atomic(path, json_text({
                 "version": MANIFEST_VERSION,
                 "spec_hash": spec_hash,
                 "spec": spec.to_dict(),
                 "chunk_size": chunk_size,
                 "chunks": chunks,
                 "total": len(keys),
-            })
+            }))
     payload = json.loads(path.read_text())
     if payload.get("version") != MANIFEST_VERSION:
         raise ManifestError(
@@ -374,13 +365,13 @@ def steal_claim(
         return None
     generation = claim["generation"] + 1
     token = _claim_token(worker_id, generation)
-    _write_atomic(_claim_path(mdir, chunk_id), {
+    write_atomic(_claim_path(mdir, chunk_id), json_text({
         "worker": worker_id,
         "pid": os.getpid(),
         "generation": generation,
         "token": token,
         "stolen_from": claim["worker"],
-    })
+    }))
     return token
 
 
@@ -443,7 +434,7 @@ def write_chunk_result(
     }
     if token is not None:
         payload["token"] = token
-    _write_atomic(chunk_result_path(mdir, chunk_id), payload)
+    write_atomic(chunk_result_path(mdir, chunk_id), json_text(payload))
 
 
 def read_chunk_result(

@@ -42,11 +42,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 
 from .spec import TrialSpec
-from .store import ResultStore
+from .store import ResultStore, json_text, write_atomic
 from .trial import execute_trial
 
 CORPUS_SCHEMA = "repro.corpus"
@@ -130,10 +129,7 @@ def write_corpus(path: pathlib.Path | str, payload: dict) -> None:
     """Atomically persist a corpus file (stable key order)."""
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    tmp = path.with_suffix(f".tmp-{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    write_atomic(path, json_text(payload))
 
 
 def corpus_files(directory: pathlib.Path | str) -> list[pathlib.Path]:

@@ -30,10 +30,9 @@ replay, never to a corrupted trajectory.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 
-from ..store import ResultStore
+from ..store import ResultStore, json_text, write_atomic
 from .space import point_from_json, point_to_json
 from .spec import SearchSpec
 from .strategies import _Strategy
@@ -78,12 +77,9 @@ def build_checkpoint(
 def write_checkpoint(
     store: ResultStore, spec: SearchSpec, payload: dict
 ) -> pathlib.Path:
-    """Atomically persist a checkpoint (tmp file + ``os.replace``)."""
+    """Atomically persist a checkpoint."""
     path = checkpoint_path(store, spec)
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    tmp = path.with_suffix(f".tmp-{os.getpid()}")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    write_atomic(path, json_text(payload))
     return path
 
 

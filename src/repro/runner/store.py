@@ -21,8 +21,8 @@ are still readable: ``load`` falls back to the legacy file when no v2
 directory exists, and the next ``save`` migrates it to the sharded
 layout and removes the old file.
 
-All files are written atomically (temp file + ``os.replace``) with
-sorted keys, and rewrites are skipped when the content is unchanged.
+All files are written atomically (:func:`write_atomic`) with sorted
+keys, and rewrites are skipped when the content is unchanged.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import threading
 import warnings
 from typing import Iterator, Sequence
 
@@ -46,6 +47,26 @@ _CHECKPOINT_NAME = "search-checkpoint.json"
 
 class MergeWarning(UserWarning):
     """A store merge lost information it could not reconcile."""
+
+
+def json_text(payload: dict) -> str:
+    """The on-disk form of every runner JSON file: sorted keys, indent 1."""
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def write_atomic(path: pathlib.Path, text: str) -> None:
+    """Replace ``path``'s content with ``text`` atomically.
+
+    The temp name is unique per process and thread, so concurrent
+    writers of one file never truncate or rename away each other's
+    temp file (the last ``os.replace`` wins).  It ends in ``.tmp`` so
+    :meth:`ResultStore.compact` sweeps one a crash left behind.
+    """
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+    )
+    tmp.write_text(text)
+    os.replace(tmp, path)
 
 
 def _shard_name(index: int) -> str:
@@ -274,15 +295,13 @@ class ResultStore:
 
     @staticmethod
     def _write_json(path: pathlib.Path, payload: dict) -> None:
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        text = json_text(payload)
         try:
             if path.read_text() == text:
                 return  # unchanged: keep the old bytes and mtime
         except (OSError, ValueError):
             pass
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        write_atomic(path, text)
 
     # ------------------------------------------------------------------
     # Maintenance.

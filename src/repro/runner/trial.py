@@ -29,6 +29,7 @@ from ..baselines import run_random_walk_gather, run_talking_gather
 from ..core.parameters import KnownBoundParameters
 from ..core.gather_known import smallest_label_length
 from ..core.runs import (
+    PreparedRun,
     prepare_gather_known,
     prepare_gather_unknown,
     run_gather_known,
@@ -538,8 +539,8 @@ def _prepare_faulted(
     wake_rounds: list[int | None],
     faults_pairs: tuple[tuple[int, int], ...],
     draw: int,
-) -> "PreparedTrial":
-    """Build a faulted trial's simulation, ready to run or cohort."""
+) -> tuple[PreparedRun, int | None]:
+    """Build a faulted trial's prepared run and its round horizon."""
     dynamics = None
     if trial.dynamics != "none":
         dynamics = make_dynamics(
@@ -576,10 +577,7 @@ def _prepare_faulted(
             f"faults/dynamics are not supported for "
             f"{trial.algorithm!r} trials"
         )
-    return PreparedTrial(
-        trial, graph, prepared, None,
-        fault_ctx=(tuple(faults_pairs), horizon),
-    )
+    return prepared, horizon
 
 
 def _run_faulted(
@@ -606,17 +604,23 @@ def _run_faulted(
         faults_pairs = ensure_round0_survivor(
             faults_pairs, trial.labels, wake_rounds
         )
-    prepared = _prepare_faulted(
+    prepared, horizon = _prepare_faulted(
         trial, graph, provider, start_nodes, wake_rounds, faults_pairs, draw
     )
+    sim = prepared.simulation
     try:
-        result = prepared.simulation.run()
-    except Exception as exc:
-        metrics = prepared.finalize_error(exc)
-        if metrics is None:
-            raise
-        return metrics
-    return prepared.finalize(result)
+        result = sim.run()
+    except RuntimeError as exc:
+        # Every live agent ends undeclared at its current node;
+        # ``timed_out`` stays false because the run ended by the
+        # error, not the horizon.
+        sim._graceful_stop()
+        sim.timed_out = False
+        return _faulted_metrics(
+            trial, graph, sim.result(), faults_pairs, horizon,
+            protocol_error=f"{type(exc).__name__}: {exc}",
+        )
+    return _faulted_metrics(trial, graph, result, faults_pairs, horizon)
 
 
 def _simulate_scenario(
@@ -835,29 +839,21 @@ def _execute_trial_events(
     emit = _event_stream.current()
     if emit is None:
         return _execute_trial_inner(trial, provider, graph)
-    emit.emit(_trial_start_event(trial))
-    result = _execute_trial_inner(trial, provider, graph)
-    emit.emit(_trial_end_event(result))
-    return result
-
-
-def _trial_start_event(trial: TrialSpec):
-    return _EvTrialStart(
+    emit.emit(_EvTrialStart(
         key=trial.key, algorithm=trial.algorithm,
         family=trial.family, n=trial.n, seed=trial.seed,
-    )
-
-
-def _trial_end_event(result: TrialResult):
+    ))
+    result = _execute_trial_inner(trial, provider, graph)
     metrics = result.metrics
-    return _EvTrialEnd(
-        key=result.trial.key,
+    emit.emit(_EvTrialEnd(
+        key=trial.key,
         ok=result.ok,
         error=result.error,
         rounds=metrics.get("rounds"),
         moves=metrics.get("moves"),
         events=metrics.get("events"),
-    )
+    ))
+    return result
 
 
 def _execute_trial_inner(
@@ -915,115 +911,3 @@ def _execute_trial_inner(
             trial, ok=False, error=f"{type(exc).__name__}: {exc}"
         )
     return TrialResult(trial, ok=True, metrics=metrics)
-
-
-class PreparedTrial:
-    """A trial resolved down to a ready-to-run :class:`Simulation`.
-
-    Produced by :func:`prepare_trial` for cohort-eligible trials; the
-    cohort executor drives :attr:`simulation` (together with its
-    same-graph batch-mates) and calls :meth:`finalize` on the raw
-    :class:`~repro.sim.scheduler.SimulationResult` to obtain exactly
-    the metrics dict :func:`execute_trial` would have recorded.
-    """
-
-    __slots__ = ("trial", "graph", "prepared", "_metrics_fn", "_fault_ctx")
-
-    def __init__(self, trial: TrialSpec, graph: PortGraph,
-                 prepared, metrics_fn, fault_ctx=None) -> None:
-        self.trial = trial
-        self.graph = graph
-        self.prepared = prepared
-        self._metrics_fn = metrics_fn
-        # (faults_pairs, horizon) for faulted trials; None otherwise.
-        # Faulted trials skip report validation (crashed agents never
-        # declare) and flatten the raw result instead.
-        self._fault_ctx = fault_ctx
-
-    @property
-    def simulation(self):
-        return self.prepared.simulation
-
-    def finalize(self, sim_result) -> dict:
-        """Validate a result into the trial's canonical metrics dict."""
-        if self._fault_ctx is not None:
-            faults_pairs, horizon = self._fault_ctx
-            return _faulted_metrics(
-                self.trial, self.graph, sim_result, faults_pairs, horizon
-            )
-        report = self.prepared.finalize(sim_result)
-        return self._metrics_fn(report, self.graph)
-
-    def finalize_error(self, exc: BaseException) -> dict | None:
-        """Convert a faulted trial's protocol error into ``ok`` metrics.
-
-        Returns ``None`` when the error is a genuine failure — an
-        unfaulted trial, or anything that is not a ``RuntimeError`` —
-        and the caller should record it as one.  Otherwise the
-        simulation is finalized gracefully (every live agent ends
-        undeclared at its current node) and the metrics carry the
-        error text as ``protocol_error``; ``timed_out`` stays false
-        because the run ended by the error, not the horizon.
-        """
-        if self._fault_ctx is None or not isinstance(exc, RuntimeError):
-            return None
-        faults_pairs, horizon = self._fault_ctx
-        sim = self.prepared.simulation
-        sim._graceful_stop()
-        sim.timed_out = False
-        return _faulted_metrics(
-            self.trial, self.graph, sim.result(), faults_pairs, horizon,
-            protocol_error=f"{type(exc).__name__}: {exc}",
-        )
-
-
-def prepare_trial(
-    trial: TrialSpec,
-    graph: PortGraph,
-    provider: UXSProvider | None = None,
-) -> PreparedTrial | None:
-    """Resolve a cohort-eligible trial into a :class:`PreparedTrial`.
-
-    Returns ``None`` when the trial cannot run in a lockstep cohort —
-    anything but a ``fixed`` adversary (multi-draw adversaries run
-    many simulations per trial) or an algorithm without a prepare
-    front-end — in which case the caller falls back to
-    :func:`execute_trial`.  Exceptions raised here (scenario
-    resolution, pre-flight verification, simulation construction) are
-    exactly those :func:`execute_trial` captures, so callers convert
-    them into identical failure records.
-    """
-    if trial.algorithm not in ("gather_known", "gather_unknown"):
-        return None
-    kind, _draws = parse_adversary(trial.adversary)
-    if kind != "fixed":
-        return None
-    start_nodes, wake_rounds = resolve_scenario(trial, graph, 0)
-    if _trial_is_faulted(trial):
-        # Faulted trials cohort too: the lockstep scheduler ejects a
-        # trial at its first crash or blocked edge, and the scalar
-        # finish plus ``finalize``/``finalize_error`` reproduce the
-        # serial path's records byte-for-byte.
-        faults_pairs = _resolve_trial_faults(trial, wake_rounds, 0)
-        return _prepare_faulted(
-            trial, graph, provider, start_nodes, wake_rounds,
-            faults_pairs, 0,
-        )
-    if trial.algorithm == "gather_known":
-        prepared = prepare_gather_known(
-            graph,
-            list(trial.labels),
-            trial.n_bound,
-            start_nodes=start_nodes,
-            wake_rounds=wake_rounds,
-            provider=provider,
-        )
-        return PreparedTrial(trial, graph, prepared, _gather_known_metrics)
-    prepared = prepare_gather_unknown(
-        graph,
-        list(trial.labels),
-        start_nodes=start_nodes,
-        wake_rounds=wake_rounds,
-        provider=provider,
-    )
-    return PreparedTrial(trial, graph, prepared, _gather_unknown_metrics)

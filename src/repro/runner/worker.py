@@ -20,25 +20,11 @@ from __future__ import annotations
 
 import os
 
-from ..events import stream as _event_stream
 from ..explore.uxs import UXSProvider
 from ..metrics import registry as _metrics_registry
 from ..graphs.port_graph import PortGraph
 from .spec import TrialSpec
-from .trial import (
-    PreparedTrial,
-    TrialResult,
-    _build_graph,
-    _trial_end_event,
-    _trial_start_event,
-    execute_trial,
-    prepare_trial,
-)
-
-try:
-    from ..sim.cohort import HAVE_NUMPY as _COHORTS_AVAILABLE
-except ImportError:  # pragma: no cover - cohort ships with sim
-    _COHORTS_AVAILABLE = False
+from .trial import TrialResult, _build_graph, execute_trial
 
 # Process-global state, set once per worker by :func:`init_worker`.
 _PROVIDER: UXSProvider | None = None
@@ -119,21 +105,26 @@ def shared_graph(trial: TrialSpec) -> PortGraph | None:
     return graph
 
 
-def run_trial_payload(payload: dict) -> dict:
-    """Execute one trial dict and return its record dict.
+def _trial_record(trial: TrialSpec, graph: PortGraph | None = None) -> dict:
+    """``execute_trial``'s record dict for ``trial``; never raises.
 
-    Never raises: :func:`repro.runner.trial.execute_trial` captures
-    simulation failures, and this wrapper catches even record-building
-    errors so a worker cannot poison the pool.
+    :func:`repro.runner.trial.execute_trial` captures simulation
+    failures; this catches even record-building errors so a worker
+    cannot poison the pool.
     """
-    trial = TrialSpec.from_dict(payload)
     try:
-        record = execute_trial(trial, provider=_PROVIDER).record()
+        return execute_trial(trial, provider=_PROVIDER, graph=graph).record()
     except Exception as exc:  # pragma: no cover - defense in depth
         record = trial.to_dict()
         record["ok"] = False
         record["error"] = f"{type(exc).__name__}: {exc}"
         record["metrics"] = {}
+        return record
+
+
+def run_trial_payload(payload: dict) -> dict:
+    """Execute one trial dict and return its record dict; never raises."""
+    record = _trial_record(TrialSpec.from_dict(payload))
     envelope = _metrics_envelope()
     if envelope is None:
         return record
@@ -143,117 +134,22 @@ def run_trial_payload(payload: dict) -> dict:
     return {"__metrics__": envelope, "record": record}
 
 
-def _error_result(trial: TrialSpec, exc: BaseException) -> TrialResult:
-    """The exact failure record :func:`execute_trial` would produce."""
-    return TrialResult(
-        trial, ok=False, error=f"{type(exc).__name__}: {exc}"
-    )
-
-
-def _finish_prepared(prepared: PreparedTrial) -> TrialResult:
-    """Run a prepared trial's simulation scalar and record it."""
-    try:
-        metrics = prepared.finalize(prepared.simulation.run())
-    except Exception as exc:
-        # Faulted trials convert protocol errors into graceful-stop
-        # metrics (exactly as the serial path does); anything else is
-        # a genuine failure record.
-        metrics = prepared.finalize_error(exc)
-        if metrics is None:
-            return _error_result(prepared.trial, exc)
-    return TrialResult(prepared.trial, ok=True, metrics=metrics)
-
-
 def execute_trial_batch(
     trials: list[TrialSpec],
     provider: UXSProvider | None = None,
     graph: PortGraph | None = None,
 ) -> list[TrialResult]:
-    """Execute trials sharing one graph, cohorting where possible.
+    """Execute trials sharing one graph, one after another.
 
-    Cohort-eligible trials (see :func:`repro.runner.trial
-    .prepare_trial`) are prepared into same-graph simulations and run
-    in lockstep by :class:`repro.sim.cohort.CohortScheduler`; the rest
-    take the ordinary per-trial path.  Results are byte-identical to
-    serial execution in either case — preparation failures are
-    captured in the same ``"{type}: {message}"`` form as
-    :func:`execute_trial`'s, and an ejected or completed cohort trial
-    finalizes through the same validation code.
+    Results are byte-identical to serial execution: ``graph`` is the
+    same pure function of the trial coordinates the serial path
+    computes, and ``None`` (a failed build) makes each trial rebuild
+    and capture the identical error.  The backends run their batches
+    trial by trial themselves; ``perfbench/tracing.py`` wraps this
+    name.
     """
-    emit = _event_stream.current()
-    results: list[TrialResult | None] = [None] * len(trials)
-    cohort: list[tuple[int, PreparedTrial]] = []
-    if graph is not None and _COHORTS_AVAILABLE:
-        for i, trial in enumerate(trials):
-            try:
-                prepared = prepare_trial(trial, graph, provider)
-            except Exception as exc:
-                results[i] = _error_result(trial, exc)
-                if emit is not None:
-                    emit.emit(_trial_start_event(trial))
-                    emit.emit(_trial_end_event(results[i]))
-                continue
-            if prepared is not None:
-                cohort.append((i, prepared))
-    if len(cohort) >= 2:
-        from ..sim.cohort import CohortScheduler
-
-        # Cohort members interleave at the simulation level; their
-        # TrialStart events bracket the lockstep run as a block (the
-        # per-trial SimulationStart was emitted at prepare time).
-        if emit is not None:
-            for _i, prepared in cohort:
-                emit.emit(_trial_start_event(prepared.trial))
-        outcomes = CohortScheduler(
-            graph, [p.simulation for _i, p in cohort]
-        ).run()
-        for (i, prepared), outcome in zip(cohort, outcomes):
-            if outcome.error is not None:
-                metrics = prepared.finalize_error(outcome.error)
-                if metrics is None:
-                    results[i] = _error_result(
-                        prepared.trial, outcome.error
-                    )
-                else:
-                    results[i] = TrialResult(
-                        prepared.trial, ok=True, metrics=metrics
-                    )
-            else:
-                try:
-                    metrics = prepared.finalize(outcome.result)
-                except Exception as exc:
-                    results[i] = _error_result(prepared.trial, exc)
-                else:
-                    results[i] = TrialResult(
-                        prepared.trial, ok=True, metrics=metrics
-                    )
-            if emit is not None:
-                emit.emit(_trial_end_event(results[i]))
-    else:
-        # A cohort of one gains nothing from lockstep; run it scalar
-        # (the simulation is already built).
-        for i, prepared in cohort:
-            if emit is not None:
-                emit.emit(_trial_start_event(prepared.trial))
-            results[i] = _finish_prepared(prepared)
-            if emit is not None:
-                emit.emit(_trial_end_event(results[i]))
-    reg = _metrics_registry.current()
-    if reg is not None:
-        # Cohort members (and prepare failures) bypass execute_trial,
-        # which counts its own; count them here so the trial counters
-        # agree with serial execution regardless of the path taken.
-        for result in results:
-            if result is not None:
-                status = "ok" if result.ok else "failed"
-                reg.counter(
-                    "runner.trials.executed", status=status
-                ).value += 1
     return [
-        result
-        if result is not None
-        else execute_trial(trials[i], provider=provider, graph=graph)
-        for i, result in enumerate(results)
+        execute_trial(t, provider=provider, graph=graph) for t in trials
     ]
 
 
@@ -267,48 +163,14 @@ def run_trial_batch(payload: dict) -> list[dict] | dict:
 
     The pipelined backend groups trials by ``(family, n, graph_seed)``
     and ships each group as one task, so the graph is built once per
-    batch instead of once per trial — and same-graph cohort-eligible
-    trials run in lockstep (:func:`execute_trial_batch`).  Records are
-    byte-identical to the per-trial path: the shared graph is the same
-    pure function of the trial coordinates the serial path computes,
-    and the cohort ejects to scalar execution on any divergence.
+    batch instead of once per trial.  Records are byte-identical to
+    the per-trial path: the shared graph is the same pure function of
+    the trial coordinates the serial path computes.
     """
-    records = _run_trial_batch_records(payload)
+    trials = [TrialSpec.from_dict(p) for p in payload["trials"]]
+    graph = shared_graph(trials[0]) if trials else None
+    records = [_trial_record(trial, graph) for trial in trials]
     envelope = _metrics_envelope()
     if envelope is None:
         return records
     return {"__metrics__": envelope, "records": records}
-
-
-def _run_trial_batch_records(payload: dict) -> list[dict]:
-    records: list[dict] = []
-    trials = [TrialSpec.from_dict(p) for p in payload["trials"]]
-    graph = shared_graph(trials[0]) if trials else None
-    try:
-        results = execute_trial_batch(trials, provider=_PROVIDER, graph=graph)
-    except Exception:  # pragma: no cover - defense in depth
-        results = None
-    if results is not None:
-        for trial, result in zip(trials, results):
-            try:
-                records.append(result.record())
-            except Exception as exc:  # pragma: no cover - defense in depth
-                rec = trial.to_dict()
-                rec["ok"] = False
-                rec["error"] = f"{type(exc).__name__}: {exc}"
-                rec["metrics"] = {}
-                records.append(rec)
-        return records
-    for trial in trials:
-        try:
-            records.append(
-                execute_trial(trial, provider=_PROVIDER, graph=graph)
-                .record()
-            )
-        except Exception as exc:  # pragma: no cover - defense in depth
-            rec = trial.to_dict()
-            rec["ok"] = False
-            rec["error"] = f"{type(exc).__name__}: {exc}"
-            rec["metrics"] = {}
-            records.append(rec)
-    return records

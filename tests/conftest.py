@@ -11,3 +11,9 @@ from repro.explore.uxs import UXSProvider
 def provider() -> UXSProvider:
     """One shared sequence provider (sequences are cached per size)."""
     return UXSProvider()
+
+
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: a test that takes seconds rather than milliseconds"
+    )

@@ -23,6 +23,7 @@ import os
 import pytest
 
 from repro.__main__ import main
+from repro.events import JsonlTraceProcessor, attached
 from repro.runner import (
     BACKENDS,
     BackendError,
@@ -35,6 +36,7 @@ from repro.runner import worker as worker_mod
 from repro.runner.backends import manifest as manifest_mod
 from repro.runner.backends.pipelined import plan_batches
 from repro.runner.spec import SpecError
+from repro.runner.trial import execute_trial
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -186,6 +188,32 @@ class TestBackendEquivalence:
         assert serial.canonical_json() == pipelined.canonical_json()
         assert serial.canonical_json() == pooled.canonical_json()
 
+    def test_pipelined_trace_matches_serial(self, tmp_path):
+        # One same-graph batch: every trial brackets its own
+        # simulation events with TrialStart/TrialEnd, in grid order.
+        spec = ExperimentSpec(
+            algorithm="gather_known",
+            family="ring",
+            sizes=(8,),
+            label_sets=((1, 2), (3, 1)),
+            seeds=(0,),
+            placements=("spread", "eccentric"),
+            graph_seed_mode="fixed",
+        )
+        lines = {}
+        for backend in ("serial", "pipelined"):
+            path = tmp_path / f"{backend}.jsonl"
+            with attached(JsonlTraceProcessor(path)):
+                run_experiment(spec, workers=1, backend=backend)
+            lines[backend] = path.read_bytes().splitlines()
+        # SweepStart names the backend; every other line is the same.
+        for payloads in lines.values():
+            start = json.loads(payloads[1])
+            assert start["type"] == "SweepStart"
+            del start["backend"]
+            payloads[1] = start
+        assert lines["pipelined"] == lines["serial"]
+
     def test_manifest_store_matches_serial_store(self, tmp_path):
         spec_kwargs = dict(sizes=(4, 5), seeds=(0, 1))
         run_experiment(
@@ -280,6 +308,61 @@ class TestPipelined:
             backend_options={"batch_size": 3},
         )
         assert batched == [3]
+
+
+    @pytest.mark.parametrize(
+        "algorithm,family,n",
+        [
+            ("gather_known", "ring", 8),
+            ("gather_known", "torus", 9),
+            ("gather_unknown", "edge", 2),
+        ],
+    )
+    def test_batch_records_match_serial(self, algorithm, family, n):
+        spec = ExperimentSpec(
+            algorithm=algorithm,
+            family=family,
+            sizes=(n,),
+            label_sets=((1, 2), (3, 1)),
+            seeds=(0, 1),
+            placements=("spread", "eccentric"),
+            graph_seed_mode="fixed",
+        )
+        trials = spec.trials()
+        graph = worker_mod.shared_graph(trials[0])
+        assert graph is not None
+        batch_records = [
+            r.record()
+            for r in worker_mod.execute_trial_batch(trials, graph=graph)
+        ]
+        serial_records = [
+            execute_trial(t, graph=graph).record() for t in trials
+        ]
+        assert batch_records == serial_records
+
+    def test_batch_captures_prepare_errors_like_serial(self):
+        # gather_known needs distinct labels; duplicate labels fail at
+        # run construction, which the batch must capture in the exact
+        # "{type}: {message}" form the serial path records.
+        spec = ExperimentSpec(
+            algorithm="gather_known",
+            family="ring",
+            sizes=(6,),
+            label_sets=((2, 2),),
+            seeds=(0, 1),
+            graph_seed_mode="fixed",
+        )
+        trials = spec.trials()
+        graph = worker_mod.shared_graph(trials[0])
+        batch_records = [
+            r.record()
+            for r in worker_mod.execute_trial_batch(trials, graph=graph)
+        ]
+        serial_records = [
+            execute_trial(t, graph=graph).record() for t in trials
+        ]
+        assert batch_records == serial_records
+        assert not batch_records[0]["ok"]
 
 
 class TestManifest:

@@ -2,10 +2,8 @@
 
 Pins the observability contract of this PR: what the scheduler and
 runner emit (and in which order), that an unobserved run emits
-nothing and stays byte-identical, that cohort members emit the same
-per-simulation stream the scalar scheduler does (plus the
-``CohortEject`` marker), and that the JSONL trace round-trips through
-``python -m repro trace``.
+nothing and stays byte-identical, and that the JSONL trace
+round-trips through ``python -m repro trace``.
 """
 
 from __future__ import annotations
@@ -14,13 +12,10 @@ import io
 import json
 import threading
 
-import pytest
-
 from repro.core import run_gather_known
 from repro.events import (
     SCHEMA_VERSION,
     AgentMove,
-    CohortEject,
     EventDispatcher,
     JsonlTraceProcessor,
     ListProcessor,
@@ -187,52 +182,6 @@ class TestMoveLogParity:
         # (round, agent) for a well-defined comparison.
         key = lambda row: (row[0], row[1])  # noqa: E731
         assert sorted(expanded, key=key) == sorted(sim.move_log, key=key)
-
-
-class TestCohortParity:
-    """Cohort members emit what the scalar scheduler emits."""
-
-    def scenario_sims(self, graph, events=None):
-        # A mover steps onto a watched waiter: fires a watch, ejects.
-        from test_cohort import build_sim, watch_fire_scenario
-
-        scenario = watch_fire_scenario(graph)
-        return build_sim(graph, scenario, events=events)
-
-    def test_eject_emits_marker_and_matches_scalar(self):
-        pytest.importorskip("numpy")
-        from repro.sim.cohort import run_cohort
-
-        graph = ring(6)
-        # Each simulation gets its own dispatcher, so per-simulation
-        # streams stay separable even though the cohort interleaves.
-        cohort_collectors = [ListProcessor() for _ in range(3)]
-        sims = [
-            self.scenario_sims(graph, events=EventDispatcher([c]))
-            for c in cohort_collectors
-        ]
-        outcomes = run_cohort(graph, sims)
-        assert all(o.ejected == "watch" for o in outcomes)
-
-        scalar_collector = ListProcessor()
-        scalar = self.scenario_sims(
-            graph, events=EventDispatcher([scalar_collector])
-        )
-        scalar.run()
-        scalar.result()
-        scalar_payloads = [
-            to_payload(e) for e in scalar_collector.events
-        ]
-        for i, collector in enumerate(cohort_collectors):
-            ejects = collector.of_type(CohortEject)
-            assert [e.reason for e in ejects] == ["watch"]
-            assert ejects[0].trial == i
-            payloads = [
-                to_payload(e)
-                for e in collector.events
-                if not isinstance(e, CohortEject)
-            ]
-            assert payloads == scalar_payloads
 
 
 class TestDispatcher:
@@ -433,7 +382,7 @@ class TestRunnerByteIdentity:
 
 
 class TestSceneExtraction:
-    """``extract_scenes`` on traces with cohort and watch events."""
+    """``extract_scenes`` on traces with watch events."""
 
     def gather_payloads(self):
         _report, events = run_collected(
@@ -493,42 +442,3 @@ class TestSceneExtraction:
         assert sum(len(f["watches"]) for f in scene["frames"]) == len(
             fired
         ) - len(stray)
-
-    def test_cohort_eject_trace_builds_scalar_identical_scene(self):
-        # CohortEject is a recognized sim event but expands to no
-        # moves: a cohort member's trace renders the same scene as the
-        # scalar run of the same scenario.
-        pytest.importorskip("numpy")
-        from test_cohort import build_sim, watch_fire_scenario
-
-        from repro.sim.cohort import run_cohort
-
-        graph = ring(6)
-        collectors = [ListProcessor() for _ in range(3)]
-        sims = [
-            build_sim(
-                graph, watch_fire_scenario(graph),
-                events=EventDispatcher([c]),
-            )
-            for c in collectors
-        ]
-        outcomes = run_cohort(graph, sims)
-        assert all(o.ejected == "watch" for o in outcomes)
-
-        scalar_collector = ListProcessor()
-        scalar = build_sim(
-            graph, watch_fire_scenario(graph),
-            events=EventDispatcher([scalar_collector]),
-        )
-        scalar.run()
-        scalar.result()
-        (scalar_scene,) = extract_scenes(
-            [to_payload(e) for e in scalar_collector.events]
-        )
-
-        for collector in collectors:
-            payloads = [to_payload(e) for e in collector.events]
-            assert any(p["type"] == "CohortEject" for p in payloads)
-            (scene,) = extract_scenes(payloads)
-            assert scene == scalar_scene
-            assert scene["frames"]  # the scenario does move agents

@@ -315,32 +315,6 @@ class TestSchedulerIntegration:
             == stats["seq_hits"]
         )
 
-    def test_cohort_metrics(self):
-        pytest.importorskip("numpy")
-        from repro.runner.worker import execute_trial_batch, shared_graph
-        from repro.runner.spec import TrialSpec
-
-        trials = [
-            TrialSpec(
-                key=f"t{seed}", algorithm="gather_known", family="ring",
-                n=5, n_bound=5, labels=(1, 2), messages=None, seed=seed,
-                graph_seed=7, placement="default",
-                wake_schedule="simultaneous", adversary="fixed",
-            )
-            for seed in (0, 1)
-        ]
-        reg = Registry("t")
-        with metrics_registry.attached(reg):
-            graph = shared_graph(trials[0])
-            results = execute_trial_batch(trials, graph=graph)
-        assert all(r.ok for r in results)
-        snap = reg.snapshot()
-        assert counter_value(snap, "sim.cohort.runs") == 1
-        rows = series_by_name(snap)
-        assert rows[("sim.cohort.size", ())]["count"] == 1
-        assert counter_value(snap, "sim.cohort.rounds") > 0
-        assert sum_counters(snap, "runner.trials.executed") == 2
-
 
 class TestNeverAffectsResults:
     def test_records_and_store_bytes_identical(self, tmp_path):
@@ -495,46 +469,6 @@ class TestManifestFleet:
         snapshot = snap_mod.load_snapshot(sidecars[0])
         assert sum_counters(snapshot, "runner.trials.executed") == \
             len(result.records)
-
-
-class TestEventProcessor:
-    def test_derives_runner_series_from_events(self):
-        from repro.events import stream as event_stream
-        from repro.events.types import SweepProgress, TrialEnd
-        from repro.metrics import MetricsEventProcessor
-
-        proc = MetricsEventProcessor()
-        with event_stream.attached(proc):
-            emit = event_stream.current()
-            emit.emit(TrialEnd(
-                key="a", ok=True, error=None, rounds=3, moves=5,
-                events=7,
-            ))
-            emit.emit(TrialEnd(
-                key="b", ok=False, error="boom", rounds=0, moves=0,
-                events=0,
-            ))
-            emit.emit(SweepProgress(
-                done=1, total=2, key="a", ok=True, cached=True,
-            ))
-        snap = proc.snapshot()
-        assert counter_value(snap, "events.count", type="TrialEnd") == 2
-        assert counter_value(snap, "events.trials", status="ok") == 1
-        assert counter_value(snap, "events.trials", status="failed") == 1
-        assert counter_value(snap, "events.trials.cached") == 1
-
-    def test_processor_over_a_real_run(self):
-        from repro.events import stream as event_stream
-        from repro.metrics import MetricsEventProcessor
-
-        proc = MetricsEventProcessor()
-        with event_stream.attached(proc):
-            result = run_experiment(make_spec())
-        snap = proc.snapshot()
-        assert counter_value(snap, "events.count", type="SweepEnd") == 1
-        assert counter_value(snap, "events.trials", status="ok") == \
-            len(result.records)
-        assert counter_value(snap, "events.sim.segment_edges") > 0
 
 
 class TestMetricsCLI:

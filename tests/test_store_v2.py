@@ -14,6 +14,7 @@ Covers the PR's storage guarantees:
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -153,6 +154,40 @@ class TestCompact:
         assert not (directory / "shard-9999.json").exists()
         assert not list(directory.glob("*.tmp"))
         assert len(store.load(spec)) == 4
+
+
+class TestConcurrentWrites:
+    def test_threads_rewriting_one_shard_never_collide(self, tmp_path):
+        # Every save rewrites shard-0000.json with different content, so
+        # each one goes through a temp file; writers sharing one temp
+        # name rename it away under each other (FileNotFoundError).
+        spec = spec_for()
+        store = ResultStore(tmp_path)
+        threads, saves = 4, 300
+        barrier = threading.Barrier(threads)
+        errors: list[BaseException] = []
+
+        def writer(t: int) -> None:
+            barrier.wait()
+            try:
+                for i in range(saves):
+                    store.save(spec, {"key": {"thread": t, "save": i}})
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        workers = [
+            threading.Thread(target=writer, args=(t,))
+            for t in range(threads)
+        ]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        assert errors == []
+        directory = store.dir_for(spec)
+        assert not list(directory.glob("*.tmp"))
+        (record,) = store.load(spec).values()
+        assert record["save"] == saves - 1
 
 
 class TestCorruptShardRecovery:

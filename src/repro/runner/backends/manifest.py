@@ -670,7 +670,10 @@ class ManifestBackend:
 
         emit = _event_stream.current()
         reg = _metrics_registry.current()
-        while True:
+
+        def claim_and_run():
+            """Claim, execute and write one chunk, yielding its pending
+            records; returns False when nothing was claimable."""
             if reg is None:
                 claimed = claim_next(
                     mdir, len(chunks), worker_id, steal_ttl=steal_ttl
@@ -681,7 +684,7 @@ class ManifestBackend:
                         mdir, len(chunks), worker_id, steal_ttl=steal_ttl
                     )
             if claimed is None:
-                break
+                return False
             chunk_id, token, stolen = claimed
             if reg is not None:
                 reg.counter("runner.manifest.chunks.claimed").value += 1
@@ -710,6 +713,10 @@ class ManifestBackend:
                             "runner.backend.records", backend="manifest"
                         ).value += 1
                     yield record
+            return True
+
+        while (yield from claim_and_run()):
+            pass
 
         # Every remaining chunk is claimed by another worker: collect
         # its result as it lands (deterministic execution makes the
@@ -737,34 +744,9 @@ class ManifestBackend:
                         yield record
             if len(seen) == len(chunks):
                 break
-            if steal_ttl is not None:
-                claimed = claim_next(
-                    mdir, len(chunks), worker_id, steal_ttl=steal_ttl
-                )
-                if claimed is not None:
-                    chunk_id, token, stolen = claimed
-                    if reg is not None:
-                        reg.counter(
-                            "runner.manifest.chunks.claimed"
-                        ).value += 1
-                        if stolen:
-                            reg.counter(
-                                "runner.manifest.chunks.stolen"
-                            ).value += 1
-                    records = execute_chunk(
-                        payload["spec_hash"], chunks[chunk_id], by_key,
-                        provider,
-                    )
-                    write_chunk_result(
-                        mdir, chunk_id, payload["spec_hash"], records,
-                        token=token,
-                    )
-                    seen.add(chunk_id)
-                    for record in records:
-                        if record["key"] in pending_keys:
-                            yield record
-                    deadline = time.monotonic() + timeout
-                    continue
+            if steal_ttl is not None and (yield from claim_and_run()):
+                deadline = time.monotonic() + timeout
+                continue
             if progressed:
                 deadline = time.monotonic() + timeout
             elif time.monotonic() > deadline:

@@ -34,14 +34,13 @@ and the segment planner executes the longest prefix during which the
 per-step model could not have diverged as a *single* event.  Round
 semantics of a segment of ``m`` edges starting at round ``r``: the
 walker moves in rounds ``r .. r+m-1`` exactly as if it had issued
-``m`` individual moves (occupancies and ``last_change`` of every
-transited node are updated accordingly, and in trace mode the segment
-expands into per-edge ``move_log`` entries), and its next op is read
-at round ``r+m``.  All walkers due in the same round are planned
-*jointly* — their mutual meetings, and therefore the exact CurCard
-each observes on every arrival, are computed by the planner — and the
-segment is truncated at the first round where anything outside the
-cohort could act:
+``m`` individual moves (occupancies are updated accordingly, and in
+trace mode the segment expands into per-edge ``move_log`` entries),
+and its next op is read at round ``r+m``.  All walkers due in the
+same round are planned *jointly* — their mutual meetings, and
+therefore the exact CurCard each observes on every arrival, are
+computed by the planner — and the segment is truncated at the first
+round where anything outside the cohort could act:
 
 * another agent's scheduled heap event falls due (``<= r+m``);
 * a walker would step onto a node with a watching (``wait``-watch or
@@ -56,6 +55,12 @@ cohort could act:
 
 The ``events`` counter stays bit-for-bit compatible with the per-step
 model: a segment of ``m`` edges counts ``m`` (virtual) resumes.
+
+``last_change`` of the transited nodes is resolved on read, not per
+segment: only ``wait_stable`` reads it, so each segment appends its
+routes to a short log, and the log is folded in (with the per-round
+rule of single moves) when a stability wait asks or when the log
+reaches a fixed length.  Both planners feed the same log.
 
 Fault injection
 ---------------
@@ -114,6 +119,11 @@ _DONE = 2
 
 # Guard against non-advancing agent programs (zero-duration op loops).
 _MAX_RESUMES_PER_ROUND = 100_000
+
+# Walk segments logged for lazy ``last_change`` resolution are folded in
+# once this many are pending, so runs without stability waits keep a
+# bounded log.
+_PENDING_SEGMENTS_CAP = 64
 
 
 class AgentSpec:
@@ -371,6 +381,9 @@ class Simulation:
         for s in self.specs:
             self._counts[s.start_node] += 1
         self._last_change = [0] * graph.n
+        # Walk segments not yet folded into _last_change, as
+        # ``(round, m, routes)``; see _last_change_of.
+        self._pending_segments: list[tuple[int, int, list]] = []
         self._dormant_at: list[set[int]] = [set() for _ in range(graph.n)]
         self._watchers: list[set[int]] = [set() for _ in range(graph.n)]
 
@@ -792,8 +805,9 @@ class Simulation:
                 # Re-verify stability; occupancy changes reschedule the
                 # wake, so reaching here with an up-to-date epoch means
                 # the window elapsed - assert the invariant cheaply.
-                if round_ < self._last_change[node] + window - 1:
-                    self._push(self._last_change[node] + window - 1, idx)
+                stable_at = self._last_change_of(node) + window - 1
+                if round_ < stable_at:
+                    self._push(stable_at, idx)
                     return None
                 self._stable[idx] = None
                 self._watchers[node].discard(idx)
@@ -959,7 +973,7 @@ class Simulation:
         if window < 1:
             raise SimulationError(f"stability window must be >= 1, got {window}")
         node = self._pos[idx]
-        candidate = self._last_change[node] + window - 1
+        candidate = self._last_change_of(node) + window - 1
         if candidate < round_:
             candidate = round_
         self._stable[idx] = window
@@ -970,6 +984,58 @@ class Simulation:
         if self._watch[idx] is not None:
             self._watch[idx] = None
             self._watchers[self._pos[idx]].discard(idx)
+
+    # ------------------------------------------------------------------
+    # Lazy last_change (only stability waits read it).
+    # ------------------------------------------------------------------
+
+    def _last_change_of(self, node: int) -> int:
+        """Latest round in which ``node``'s cardinality changed."""
+        if self._pending_segments:
+            self._resolve_pending()
+        return self._last_change[node]
+
+    def _log_segment(self, round_: int, m: int, routes: list) -> None:
+        """Defer a segment's ``last_change`` updates to the next read."""
+        pending = self._pending_segments
+        pending.append((round_, m, routes))
+        if len(pending) >= _PENDING_SEGMENTS_CAP:
+            self._resolve_pending()
+
+    def _resolve_pending(self) -> None:
+        """Fold the logged segments into ``_last_change``, then clear them.
+
+        Scans newest-first, round by round, with :meth:`_apply_moves`'
+        rule: a node changed in a round iff its arrivals and departures
+        there do not cancel (Section 1.4).  The first changed round
+        found per node is its latest, and the scan stops once every
+        node has one.  Folding with ``max`` is exact: direct writes
+        (moves, crashes) always land on the current round, so a logged
+        change beats exactly the direct writes made before its segment.
+        """
+        pending = self._pending_segments
+        n = self.graph.n
+        found: dict[int, int] = {}
+        for round_, m, routes in reversed(pending):
+            if len(found) == n:
+                break
+            for t in range(m - 1, -1, -1):
+                deltas: dict[int, int] = {}
+                for route in routes:
+                    src, dst = route[t], route[t + 1]
+                    if src != dst:
+                        deltas[src] = deltas.get(src, 0) - 1
+                        deltas[dst] = deltas.get(dst, 0) + 1
+                for v, delta in deltas.items():
+                    if delta and v not in found:
+                        found[v] = round_ + t + 1
+                if len(found) == n:
+                    break
+        last_change = self._last_change
+        for v, changed in found.items():
+            if changed > last_change[v]:
+                last_change[v] = changed
+        pending.clear()
 
     # ------------------------------------------------------------------
     # Walk segments (the multi-edge fast path).
@@ -1072,20 +1138,16 @@ class Simulation:
             self._push(end_round, idx)
         # Virtual per-edge/per-round resumes: byte-compatible events.
         self._events += (len(walks) + len(observes)) * (m - 1)
-        plan.apply_last_change(self._last_change, round_, self.graph.n)
-        if self.trace and walks:
-            order = sorted(range(len(walks)), key=lambda w: walks[w][0])
-            for t in range(m):
-                for w in order:
-                    nodes = plan.walkers[w][0]
-                    self.move_log.append(
-                        (round_ + t, walks[w][0], nodes[t], nodes[t + 1])
-                    )
+        routes = [walker[0] for walker in plan.walkers]
+        if walks:  # observers alone change no occupancy
+            self._log_segment(round_, m, routes)
+            if self.trace:
+                self._trace_segment(walks, round_, m, routes)
         if self._emit is not None:
             self._emit_segment(
                 walks, round_, m,
-                [tuple(plan.walkers[w][0][: m + 1]) for w in range(len(walks))],
-                [plan.walkers[w][3][m - 1] for w in range(len(walks))],
+                [tuple(route) for route in routes],
+                [walker[3][m - 1] for walker in plan.walkers],
                 tuple(idx for idx, _remaining in observes),
             )
 
@@ -1314,14 +1376,13 @@ class Simulation:
         """Commit an ``m``-edge segment for every walker as one event.
 
         Performs the per-step model's bookkeeping for the whole
-        traversed prefix — occupancies, ``last_change`` of every
-        transited node, move counts, virtual ``events`` and (in trace
-        mode) per-edge ``move_log`` entries — then schedules each
-        walker's next resume at ``round_ + m`` with its per-edge
+        traversed prefix — occupancies, move counts, virtual ``events``,
+        (in trace mode) per-edge ``move_log`` entries, and a log entry
+        from which ``last_change`` is resolved on read — then schedules
+        each walker's next resume at ``round_ + m`` with its per-edge
         observation history attached.
         """
         counts = self._counts
-        last_change = self._last_change
         end_round = round_ + m
         obs_rounds = range(round_ + 1, end_round + 1)
         self._c_segments.value += 1
@@ -1338,67 +1399,25 @@ class Simulation:
             self._push(end_round, idx)
         # Virtual per-edge resumes: byte-compatible events accounting.
         self._events += len(walks) * (m - 1)
-        # last_change per transited node, exactly as _apply_moves would
-        # have set it round by round (zero-delta rounds excluded: a
-        # node where arrivals balanced departures shows no CurCard
-        # variation, Section 1.4).
-        if len(walks) == 1:
-            route = routes[0]
-            for t in range(m):
-                src, dst = route[t], route[t + 1]
-                if src != dst:
-                    last_change[src] = round_ + t + 1
-                    last_change[dst] = round_ + t + 1
-        elif len(walks) == 2:
-            route_a, route_b = routes
-            for t in range(m):
-                rd = round_ + t + 1
-                sa, da = route_a[t], route_a[t + 1]
-                sb, db = route_b[t], route_b[t + 1]
-                if sa == sb and da == db:  # lockstep pair
-                    if sa != da:
-                        last_change[sa] = rd
-                        last_change[da] = rd
-                elif (
-                    sa != da and sb != db and sa != sb
-                    and da != db and sa != db and sb != da
-                ):  # fully disjoint moves
-                    last_change[sa] = rd
-                    last_change[sb] = rd
-                    last_change[da] = rd
-                    last_change[db] = rd
-                else:  # crossings / self-loops: exact per-node deltas
-                    deltas = {sa: -1}
-                    deltas[da] = deltas.get(da, 0) + 1
-                    deltas[sb] = deltas.get(sb, 0) - 1
-                    deltas[db] = deltas.get(db, 0) + 1
-                    for v, delta in deltas.items():
-                        if delta:
-                            last_change[v] = rd
-        else:
-            for t in range(m):
-                deltas2: dict[int, int] = {}
-                for route in routes:
-                    src, dst = route[t], route[t + 1]
-                    deltas2[src] = deltas2.get(src, 0) - 1
-                    deltas2[dst] = deltas2.get(dst, 0) + 1
-                for v, delta in deltas2.items():
-                    if delta:
-                        last_change[v] = round_ + t + 1
+        self._log_segment(round_, m, routes)
         if self.trace:
-            order = sorted(range(len(walks)), key=lambda w: walks[w][0])
-            for t in range(m):
-                for w in order:
-                    route = routes[w]
-                    self.move_log.append(
-                        (round_ + t, walks[w][0], route[t], route[t + 1])
-                    )
+            self._trace_segment(walks, round_, m, routes)
         if self._emit is not None:
             self._emit_segment(
                 walks, round_, m,
                 [tuple(route) for route in routes],
                 [cards[m - 1] for cards in curcards], (),
             )
+
+    def _trace_segment(self, walks, round_, m, routes) -> None:
+        """Expand a segment into per-edge ``move_log`` entries."""
+        order = sorted(range(len(walks)), key=lambda w: walks[w][0])
+        for t in range(m):
+            for w in order:
+                route = routes[w]
+                self.move_log.append(
+                    (round_ + t, walks[w][0], route[t], route[t + 1])
+                )
 
     def _emit_segment(
         self, walks, round_, m, routes, final_cards, observers

@@ -12,11 +12,14 @@ plan, position in plan, node, exit port)`` — so a :class:`RouteCache`
 chases each distinct start state once, registers every suffix of the
 chase (the continuation from any mid-plan state is a suffix of the
 same chase), and serves numpy array views thereafter.  Truncation
-bounds, exact per-arrival CurCards, watch evaluation and
-``last_change`` updates (:func:`plan_segment`) are then vector
-operations over those views.  The planner also understands stationary
-``observe`` cohort members (see :mod:`repro.sim.ops`), which is what
-lets ``StarCheck``'s waiters share a segment with the dancing agent.
+bounds, exact per-arrival CurCards and watch evaluation
+(:func:`plan_segment`) are then vector operations over those views.
+``last_change`` is not the planner's concern: the scheduler logs the
+routes of every segment, whichever planner made it, and resolves them
+only when a stability wait reads a node.  The planner also understands
+stationary ``observe`` cohort members (see :mod:`repro.sim.ops`),
+which is what lets ``StarCheck``'s waiters share a segment with the
+dancing agent.
 """
 
 from __future__ import annotations
@@ -169,125 +172,24 @@ def route_cache_for(graph: PortGraph) -> RouteCache:
 # Vectorized joint segment planning.
 # ----------------------------------------------------------------------
 
-def _commit_last_change(
-    last_change: list, round_: int, endpoint_arrs, idx
-) -> None:
-    """Write each endpoint node's latest changed round into ``last_change``.
-
-    ``endpoint_arrs`` are equal-length arrays of changed nodes, all
-    indexed by the (ascending) round indices ``idx``.  One sort over
-    the interleaved endpoints replaces a per-round scatter matrix: the
-    first occurrence of a node in the reversed round-ordered sequence
-    is its latest change.
-    """
-    k = len(idx)
-    e = len(endpoint_arrs)
-    seq = np.empty(e * k, dtype=np.int64)
-    for j, arr in enumerate(endpoint_arrs):
-        seq[j::e] = arr
-    rev = seq[::-1]
-    uniq, first = np.unique(rev, return_index=True)
-    tidx = idx[(e * k - 1 - first) // e]
-    for v, t in zip(uniq.tolist(), tidx.tolist()):
-        last_change[v] = round_ + int(t) + 1
-
-
 class SegmentPlan:
     """Output of :func:`plan_segment`, consumed by the scheduler.
 
     ``walkers[w]`` is ``(nodes, entries, degrees, curcards)`` as plain
     Python lists (``tolist()`` keeps observations and traces free of
     numpy scalars); ``observer_cards[o]`` is the per-round CurCard
-    trace of the o-th observer.  ``_nodes`` retains the walker routes
-    as an ``(W, m+1)`` int64 matrix for the last_change update.
-    ``watch_fired`` marks a segment whose last edge fires a walk
-    watch — the walk helper will raise :class:`WatchTriggered` at the
-    resume.
+    trace of the o-th observer.  ``watch_fired`` marks a segment whose
+    last edge fires a walk watch — the walk helper will raise
+    :class:`WatchTriggered` at the resume.
     """
 
-    __slots__ = ("m", "walkers", "observer_cards", "_nodes", "watch_fired")
+    __slots__ = ("m", "walkers", "observer_cards", "watch_fired")
 
-    def __init__(
-        self, m, walkers, observer_cards, nodes_matrix,
-        watch_fired=False,
-    ) -> None:
+    def __init__(self, m, walkers, observer_cards, watch_fired=False) -> None:
         self.m = m
         self.walkers = walkers
         self.observer_cards = observer_cards
-        self._nodes = nodes_matrix
         self.watch_fired = watch_fired
-
-    def apply_last_change(self, last_change: list, round_: int, n: int) -> None:
-        """Set ``last_change`` exactly as m rounds of per-step moves would.
-
-        Per round, a node's cardinality changed iff its arrival/departure
-        delta is non-zero; the latest such round wins.  Observers never
-        move, so a pure-observe segment changes nothing.  One and two
-        walkers (the overwhelmingly common cohorts) avoid the per-round
-        delta matrix: their cancellation cases are enumerable, so the
-        changed endpoints come straight from endpoint comparisons.
-        """
-        arr = self._nodes
-        if arr is None:
-            return
-        m = self.m
-        W = arr.shape[0]
-        if W == 1:
-            a = arr[0]
-            src = a[:m]
-            dst = a[1:]
-            idx = np.nonzero(src != dst)[0]
-            if len(idx):
-                _commit_last_change(
-                    last_change, round_, (src[idx], dst[idx]), idx
-                )
-            return
-        if W == 2:
-            sa, da = arr[0, :m], arr[0, 1:]
-            sb, db = arr[1, :m], arr[1, 1:]
-            lock = (sa == sb) & (da == db)
-            disjoint = (
-                ~lock
-                & (sa != da) & (sb != db) & (sa != sb)
-                & (da != db) & (sa != db) & (sb != da)
-            )
-            lastr = np.full(n, -1, dtype=np.int64)
-            idx = np.nonzero(lock & (sa != da))[0]
-            if len(idx):
-                np.maximum.at(lastr, sa[idx], idx)
-                np.maximum.at(lastr, da[idx], idx)
-            idx = np.nonzero(disjoint)[0]
-            if len(idx):
-                for ends in (sa, da, sb, db):
-                    np.maximum.at(lastr, ends[idx], idx)
-            # Crossings cancel exactly: each node loses one walker and
-            # gains the other, so neither endpoint's CurCard changes.
-            swap = ~lock & (sa == db) & (sb == da)
-            # Remaining collisions / splits / self-loops: exact
-            # per-node deltas (rare rounds).
-            for t in np.nonzero(~(lock | disjoint | swap))[0].tolist():
-                deltas = {int(sa[t]): -1}
-                for v, d in (
-                    (int(da[t]), 1), (int(sb[t]), -1), (int(db[t]), 1)
-                ):
-                    deltas[v] = deltas.get(v, 0) + d
-                for v, delta in deltas.items():
-                    if delta and t > lastr[v]:
-                        lastr[v] = t
-            for v in np.nonzero(lastr >= 0)[0].tolist():
-                last_change[v] = round_ + int(lastr[v]) + 1
-            return
-        cols = np.arange(m)
-        delta = np.zeros((n, m), dtype=np.int16)
-        np.add.at(delta, (arr[:, :m], cols), -1)
-        np.add.at(delta, (arr[:, 1:m + 1], cols), 1)
-        changed = delta != 0
-        rows = np.nonzero(changed.any(axis=1))[0]
-        if not len(rows):
-            return
-        last_idx = m - 1 - changed[:, ::-1].argmax(axis=1)
-        for v in rows.tolist():
-            last_change[v] = round_ + int(last_idx[v]) + 1
 
 
 def plan_segment(
@@ -464,6 +366,4 @@ def plan_segment(
             degs[:m].tolist(),
             cards[w].tolist(),
         ))
-    return SegmentPlan(
-        m, walkers, observer_cards, nodes_matrix, watch_fired
-    )
+    return SegmentPlan(m, walkers, observer_cards, watch_fired)

@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
 from repro.__main__ import main
-from repro.events import JsonlTraceProcessor, attached
+from repro.events import JsonlTraceProcessor, ListProcessor, attached
+from repro.events.types import BackendChunkClaimed
+from repro.metrics import registry as metrics_registry
 from repro.runner import (
     BACKENDS,
     BackendError,
@@ -571,6 +574,53 @@ class TestManifest:
         # Records collected from the foreign worker's chunk must not
         # count as simulated by this invocation.
         assert result.executed == len(spec.trials()) - 1
+
+    def test_chunk_stolen_while_waiting_is_observable(
+        self, tmp_path, monkeypatch
+    ):
+        # A ghost holds fresh claims on every chunk, so the engine's
+        # first claim loop finds nothing and it starts waiting; each
+        # poll sleep then ages the ghost's claims past the steal TTL.
+        # The chunks it steals while waiting must be announced and
+        # counted exactly like chunks claimed up front.
+        spec = small_spec(sizes=(4, 5), seeds=(0, 1))
+        mdir, payload = manifest_mod.ensure_manifest(
+            tmp_path, spec, chunk_size=1
+        )
+        n_chunks = len(payload["chunks"])
+        for chunk_id in range(n_chunks):
+            assert manifest_mod.claim_chunk(mdir, chunk_id, "ghost")
+        skew = [0.0]
+
+        class AgingClock:
+            monotonic = staticmethod(time.monotonic)
+
+            @staticmethod
+            def time():
+                return time.time() + skew[0]
+
+            @staticmethod
+            def sleep(_seconds):
+                skew[0] += 60.0
+
+        monkeypatch.setattr(manifest_mod, "time", AgingClock)
+        events = ListProcessor()
+        reg = metrics_registry.Registry()
+        with attached(events), metrics_registry.attached(reg):
+            result = run_experiment(
+                spec, backend="manifest", store=tmp_path,
+                backend_options={
+                    "chunk_size": 1, "steal_ttl": 5.0,
+                    "poll_interval": 0.0, "timeout": 5.0,
+                },
+            )
+        assert result.executed == len(spec.trials())
+        assert reg.counter("runner.manifest.chunks.stolen").value == n_chunks
+        claimed = events.of_type(BackendChunkClaimed)
+        assert sorted(e.chunk for e in claimed) == list(range(n_chunks))
+        assert reg.counter(
+            "runner.backend.records", backend="manifest"
+        ).value == len(spec.trials())
 
 
 class TestWorkerMergeCLI:

@@ -14,6 +14,11 @@ The seeded randomized suite runs 210 deterministic scenarios across a
 ring, a torus and random regular graphs (acceptance bar: >= 200),
 each mixing walk plans (rule and absolute steps), dormant agents woken
 mid-plan, and watches firing mid-segment.
+
+Both segment planners are held to the oracle in every environment:
+the walk-segment, seeded and lazy-``last_change`` classes run with the
+vectorized planner (skipped without numpy), and their ``...Scalar``
+subclasses rerun every test with the scalar planner forced.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro.graphs import (
     torus,
 )
 from repro.sim import AgentSpec, Simulation, WatchTriggered
+from repro.sim import segments as segments_mod
 from repro.sim.agent import move, observe, wait, wait_stable, walk
 from repro.sim.faults import EdgeDynamics, make_dynamics
 from repro.sim.reference import ReferenceSimulation
@@ -213,6 +219,24 @@ def assert_equivalent(fast_pair, ref_pair):
     assert fast.move_log == ref.move_log
 
 
+class _PlannerChoice:
+    """Runs a class's tests with one segment planner.
+
+    ``Simulation`` reads ``segments.HAVE_NUMPY`` when it binds its
+    planner (on the first walk round), so patching the flag forces
+    the scalar planner even where numpy imports.
+    """
+
+    planner = "vector"
+
+    @pytest.fixture(autouse=True)
+    def _force_planner(self, monkeypatch):
+        if self.planner == "scalar":
+            monkeypatch.setattr(segments_mod, "HAVE_NUMPY", False)
+        elif not segments_mod.HAVE_NUMPY:
+            pytest.skip("the vectorized planner needs numpy")
+
+
 class TestHandPickedScenarios:
     def test_two_sitters(self):
         scripts = [[("wait", 5, None)], [("wait", 9, None)]]
@@ -259,7 +283,7 @@ class TestHandPickedScenarios:
         assert_equivalent(*run_both(GRAPHS["star4"], scripts, [0, 0, 0]))
 
 
-class TestWalkSegments:
+class TestWalkSegments(_PlannerChoice):
     """Hand-picked scenarios aimed at the walk fast path."""
 
     def test_solo_walk_around_ring(self):
@@ -397,6 +421,12 @@ class TestWalkSegments:
         )
 
 
+class TestWalkSegmentsScalar(TestWalkSegments):
+    """The walk-segment scenarios with the scalar planner forced."""
+
+    planner = "scalar"
+
+
 def covering_tour(graph, start=0):
     """Exit-port sequence of a DFS closed walk visiting every node.
 
@@ -452,7 +482,7 @@ def random_script(rng, min_degree, max_ops=8):
     return script
 
 
-class TestSeededRandomizedSuite:
+class TestSeededRandomizedSuite(_PlannerChoice):
     """210 deterministic differential scenarios (>= 200 required) on
     ring / torus / random-regular graphs, every one exercising walk
     plans alongside watches, wait_stable and dormant wake-ups."""
@@ -514,6 +544,107 @@ class TestSeededRandomizedSuite:
         assert_equivalent(
             *run_both(graph, scripts, [0, 0, rng.randrange(0, 5)])
         )
+
+
+class TestSeededRandomizedSuiteScalar(TestSeededRandomizedSuite):
+    """The seeded suite with the scalar planner forced."""
+
+    planner = "scalar"
+
+
+def ports_along(graph, route):
+    """Absolute exit ports that walk ``route`` (a node sequence)."""
+    ports = []
+    for src, dst in zip(route, route[1:]):
+        (port,) = [
+            p for p in range(graph.degree(src))
+            if graph.neighbor(src, p)[0] == dst
+        ]
+        ports.append(port)
+    return tuple(ports)
+
+
+class TestLazyLastChange(_PlannerChoice):
+    """Scenarios aimed at resolving ``last_change`` on read: segments
+    only log their routes, and a ``wait_stable`` folds the log in."""
+
+    GRAPH = EXTENDED_GRAPHS["ring6"]  # nodes 0-1-2-3-4-5-0
+
+    def test_stable_on_node_no_logged_segment_touched(self):
+        """Several segments bounce on edge 0-1 while the waiter's node
+        3 changed only by a direct move: the scan runs off the end of
+        the log without resolving it."""
+        bounce = ports_along(self.GRAPH, [0, 1, 0, 1, 0, 1, 0])
+        scripts = [
+            [("walk", bounce, None)] * 4 + [("wait", 3, None)],
+            [("move", 0, None), ("wait", 40, None), ("stable", 5)],
+        ]
+        fast, ref = run_both(self.GRAPH, scripts, [0, 0], [0, 4])
+        assert fast[0].segments >= 4
+        assert_equivalent(fast, ref)
+
+    def test_more_segments_than_the_log_holds(self):
+        """A tour crosses the waiter's node, then more bounce segments
+        than the log bound follow before the waiter's next stability
+        wait.  Its window reaches back past the crossing, so the
+        crossing must survive the bounded fold."""
+        tour = ports_along(self.GRAPH, [0, 1, 2, 3, 4, 5, 0])
+        bounce = ports_along(self.GRAPH, [0, 1, 0])
+        bounces = 80  # the scheduler folds its log at 64 segments
+        scripts = [
+            [("wait", 2, None), ("walk", tour, None)]
+            + [("walk", bounce, None)] * bounces,
+            [("stable", 2), ("wait", 2 * bounces + 10, None),
+             ("stable", 2 * bounces + 40)],
+        ]
+        fast, ref = run_both(self.GRAPH, scripts, [0, 0], [0, 3])
+        assert fast[0].segments > bounces
+        assert_equivalent(fast, ref)
+
+    @pytest.mark.parametrize("crash_round", [5, 9, 14, 20])
+    def test_crash_on_a_node_segments_crossed(self, crash_round):
+        """Agent 2 sits on node 3 and crashes while or after segments
+        cross it; agent 3 then waits for stability on node 3, with a
+        window reaching back over both crossings.  The crash's direct
+        write and the logged crossings must fold to the latest."""
+        loop = ports_along(self.GRAPH, [0, 1, 2, 3, 4, 5] * 2 + [0])
+        scripts = [
+            [("wait", 1, None), ("walk", loop, None), ("wait", 3, None)],
+            [("wait", 100, None)],
+            [("move", 0, None), ("wait", 30, None), ("stable", 30),
+             ("wait", 3, None)],
+        ]
+        assert_equivalent(*run_both(
+            self.GRAPH, scripts, [0, 0, 0], [0, 3, 4],
+            faults=[(2, crash_round)], horizon=400,
+        ))
+
+    def test_three_walkers_crossing_and_colliding(self):
+        """One 8-edge segment of three walkers with a collision (t=0,
+        t=4), a lockstep pair (t=1) and crossings (t=4, t=6) whose
+        nodes see no change; every agent then waits for stability."""
+        routes = [
+            [0, 1, 2, 1, 0, 1, 2, 1, 0],
+            [1, 2, 3, 2, 1, 0, 1, 2, 3],
+            [3, 2, 3, 4, 5, 0, 5, 0, 5],
+        ]
+        walker = [
+            [("walk", ports_along(self.GRAPH, route), None), ("stable", 3)]
+            for route in routes
+        ]
+        reader = [("wait", 12, None), ("stable", 4), ("wait", 2, None)]
+        fast, ref = run_both(
+            self.GRAPH, walker + [reader, reader], [0] * 5,
+            [0, 1, 3, 2, 4],
+        )
+        assert (fast[0].segments, fast[0].segment_edges) == (1, 24)
+        assert_equivalent(fast, ref)
+
+
+class TestLazyLastChangeScalar(TestLazyLastChange):
+    """The lazy ``last_change`` scenarios with the scalar planner."""
+
+    planner = "scalar"
 
 
 class _AllBlockedRound(EdgeDynamics):

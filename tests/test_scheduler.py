@@ -682,3 +682,64 @@ class TestWalkSegments:
         g = self._ring6()
         result = run_single(g, walker)
         assert result.outcomes[0].payload == [(1, 1), (2, 1), (3, 1)]
+
+
+class TestLazyLastChange:
+    """Segments log their routes for ``last_change``; the log is folded
+    in on a stability read or when it reaches its bound."""
+
+    @staticmethod
+    def _run_with_bound(monkeypatch, bound, run):
+        """Run ``run()`` with the log bound set to ``bound``; returns
+        the report's facts, the segments logged and the longest log
+        held."""
+        from repro.sim import scheduler
+
+        monkeypatch.setattr(scheduler, "_PENDING_SEGMENTS_CAP", bound)
+        log_segment = scheduler.Simulation._log_segment
+        logged, held = [0], [0]
+
+        def spy(self, *args):
+            logged[0] += 1
+            held[0] = max(held[0], len(self._pending_segments) + 1)
+            log_segment(self, *args)
+
+        monkeypatch.setattr(scheduler.Simulation, "_log_segment", spy)
+        report = run()
+        monkeypatch.undo()
+        facts = (
+            repr(report), report.events, report.total_moves,
+            [repr(o) for o in report.sim_result.outcomes],
+        )
+        return facts, logged[0], held[0]
+
+    def test_gather_unknown_edge_log_stays_bounded(self, monkeypatch):
+        """gather_unknown never waits for stability, so only the bound
+        keeps its log short.  A bound below the trial's segment count
+        must hold, and must not change the outcome."""
+        from repro.core.runs import run_gather_unknown
+        from repro.sim import scheduler
+
+        def run():
+            return run_gather_unknown(single_edge(), [2, 3])
+
+        cap = scheduler._PENDING_SEGMENTS_CAP
+        report, logged, held = self._run_with_bound(monkeypatch, cap, run)
+        assert logged > 0 and held <= cap
+        small, logged, held = self._run_with_bound(monkeypatch, 4, run)
+        assert logged > 4 and held == 4
+        assert small == report
+
+    def test_gather_known_outcome_independent_of_bound(self, monkeypatch):
+        """Folding after every segment (bound 1) and only on stability
+        reads give the same gathering, round for round."""
+        from repro.core.runs import run_gather_known
+        from repro.graphs import ring
+
+        def run():
+            return run_gather_known(ring(6), [1, 2], 6, start_nodes=[0, 3])
+
+        lazy, logged, _held = self._run_with_bound(monkeypatch, 64, run)
+        eager, _logged, held = self._run_with_bound(monkeypatch, 1, run)
+        assert logged > 0 and held == 1
+        assert eager == lazy

@@ -60,7 +60,13 @@ model: a segment of ``m`` edges counts ``m`` (virtual) resumes.
 segment: only ``wait_stable`` reads it, so each segment appends its
 routes to a short log, and the log is folded in (with the per-round
 rule of single moves) when a stability wait asks or when the log
-reaches a fixed length.  Both planners feed the same log.
+reaches a fixed length.
+
+Two planners exist — the scalar :meth:`Simulation._plan_segment` and
+the numpy-vectorized :func:`repro.sim.segments.plan_segment` — with one
+contract: both start from :meth:`Simulation._segment_horizon` and
+return a :class:`SegmentPlan` cut to the joint length, which one
+method, :meth:`Simulation._apply_segment`, commits.
 
 Fault injection
 ---------------
@@ -287,6 +293,27 @@ class SimulationResult:
         )
 
 
+class SegmentPlan:
+    """A planned walk segment, the one output of both segment planners.
+
+    ``m`` is the segment length in rounds.  ``walkers[w]`` is ``(nodes,
+    entries, degrees, curcards)`` for the w-th walker as plain Python
+    lists cut to ``m``: ``nodes`` is the route ``[v_0 .. v_m]`` and the
+    other three describe the ``m`` arrivals.  ``observer_cards[o]`` is
+    the per-round CurCard trace of the o-th observer.  ``watch_fired``
+    marks a segment whose last edge fires a walk watch — the walk
+    helper will raise :class:`WatchTriggered` at the resume.
+    """
+
+    __slots__ = ("m", "walkers", "observer_cards", "watch_fired")
+
+    def __init__(self, m, walkers, observer_cards, watch_fired=False) -> None:
+        self.m = m
+        self.walkers = walkers
+        self.observer_cards = observer_cards
+        self.watch_fired = watch_fired
+
+
 class Simulation:
     """Run a set of agents on a port-labelled graph.
 
@@ -436,12 +463,11 @@ class Simulation:
         self._c_watch_fires = _metrics_registry.Counter()
         self._mx = _metrics_registry.current()
         self._metrics_flushed = False
-        # Vectorized planner and the graph's shared route cache,
-        # resolved lazily on the first walk round (walk-free runs never
-        # import numpy or build a cache).
+        # Segment planner (and, for the vectorized one, the graph's
+        # shared route cache), bound on the first walk round: walk-free
+        # runs never import numpy or build a cache.
         self.route_cache = None
         self._planner = None
-        self._planner_resolved = False
 
         for idx, s in enumerate(self.specs):
             self._active += 1
@@ -536,20 +562,23 @@ class Simulation:
         fault targeting a live agent is an event too: time jumps to
         the fault round even when every survivor waits past it.
         """
-        heap = self._heap
-        head: int | None = None
-        while heap:
-            _, _, i0, ep0 = heap[0]
-            if ep0 != self._epoch[i0] or self._state[i0] == _DONE:
-                heapq.heappop(heap)
-            else:
-                head = heap[0][0]
-                break
+        head = self._live_head()
         if self._fault_queue is not None:
             fault = self._next_fault_round()
             if fault is not None and (head is None or fault < head):
                 return fault
         return head
+
+    def _live_head(self) -> int | None:
+        """Round of the earliest live heap entry; drops stale heads."""
+        heap = self._heap
+        while heap:
+            _, _, i0, ep0 = heap[0]
+            if ep0 != self._epoch[i0] or self._state[i0] == _DONE:
+                heapq.heappop(heap)
+            else:
+                return heap[0][0]
+        return None
 
     def _next_fault_round(self) -> int | None:
         """Round of the earliest pending fault with a live target.
@@ -1042,19 +1071,20 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def _resolve_planner(self) -> None:
-        """Bind the vectorized planner and route cache, if available."""
-        self._planner_resolved = True
+        """Bind the segment planner: the vectorized one if numpy imports.
+
+        Dynamic-edge runs keep the scalar planner, which truncates
+        before any blocked edge: cached routes know nothing about
+        per-round edge liveness.
+        """
+        self._planner = Simulation._plan_segment
         if self._dynamics is not None:
-            # Cached routes know nothing about per-round edge liveness;
-            # dynamic-edge runs plan scalar segments (which truncate
-            # before any blocked edge) instead.
             return
         from . import segments
 
-        if not segments.HAVE_NUMPY:
-            return
-        self.route_cache = segments.route_cache_for(self.graph)
-        self._planner = segments.plan_segment
+        if segments.HAVE_NUMPY:
+            self.route_cache = segments.route_cache_for(self.graph)
+            self._planner = segments.plan_segment
 
     def _exec_walks(
         self,
@@ -1073,19 +1103,13 @@ class Simulation:
         watcher wake-ups, dormant starts and same-round movers exactly
         as the per-step model does.
         """
-        if not self._planner_resolved:
+        if self._planner is None:
             self._resolve_planner()
         if not pending_moves:
-            if self._planner is not None:
-                plan = self._planner(self, walks, observes, round_)
-                if plan is not None:
-                    self._apply_segment_vec(walks, observes, round_, plan)
-                    return
-            elif walks and not observes:
-                scalar = self._plan_segment(walks, round_)
-                if scalar is not None:
-                    self._apply_segment(walks, round_, *scalar)
-                    return
+            plan = self._planner(self, walks, observes, round_)
+            if plan is not None:
+                self._apply_segment(walks, observes, round_, plan)
+                return
         # Per-edge / per-round fallback.  Observers degrade first:
         # their next-round heap events bound any later walker segment
         # exactly like the one-round waits they are equivalent to.
@@ -1094,104 +1118,47 @@ class Simulation:
         for idx, head, _steps, _pos, _watch in walks:
             pending_moves.append((idx, head))
 
-    def _apply_segment_vec(
+    def _segment_horizon(
         self,
         walks: list[tuple],
         observes: list[tuple[int, int]],
         round_: int,
-        plan,
-    ) -> None:
-        """Commit a vectorized :class:`~repro.sim.segments.SegmentPlan`.
+    ) -> int:
+        """Joint segment bound both planners start from, before routes.
 
-        Identical bookkeeping to :meth:`_apply_segment`, extended with
-        stationary observers: an observer neither moves nor changes any
-        occupancy, it just receives the per-round CurCard trace of its
-        node and resumes at the segment end, exactly as ``m`` one-round
-        observations would.
+        The shortest remaining plan or observation, capped by the next
+        live heap event, the round and event budgets and the next fault
+        round.  Returns 0 when a walker starts on a watched node: the
+        departure must notify the watchers through the ordinary
+        machinery.  A result below 2 means no segment.
         """
-        counts = self._counts
-        m = plan.m
-        end_round = round_ + m
-        obs_rounds = range(round_ + 1, end_round + 1)
-        self._c_segments.value += 1
-        self._c_segment_edges.value += m * len(walks)
-        if plan.watch_fired:
-            # The segment's last edge fires a walk watch: the walk
-            # helper raises WatchTriggered at the resume.
-            self._c_watch_fires.value += 1
-        for w, (idx, _head, _steps, _pos, _watch) in enumerate(walks):
-            nodes, ents, degs, cards = plan.walkers[w]
-            counts[nodes[0]] -= 1
-            counts[nodes[m]] += 1
-            self._pos[idx] = nodes[m]
-            self._entry_port[idx] = ents[m - 1]
-            self._outcomes[idx].moves += m
-            self._walk_trace[idx] = (obs_rounds, degs, ents, cards)
-            self._push(end_round, idx)
-        for o, (idx, _remaining) in enumerate(observes):
-            cards = plan.observer_cards[o]
-            degree = self.graph.degree(self._pos[idx])
-            # Constant columns as repeat(): zip stops at the cards.
-            self._walk_trace[idx] = (
-                obs_rounds, repeat(degree), repeat(None), cards
-            )
-            self._push(end_round, idx)
-        # Virtual per-edge/per-round resumes: byte-compatible events.
-        self._events += (len(walks) + len(observes)) * (m - 1)
-        routes = [walker[0] for walker in plan.walkers]
-        if walks:  # observers alone change no occupancy
-            self._log_segment(round_, m, routes)
-            if self.trace:
-                self._trace_segment(walks, round_, m, routes)
-        if self._emit is not None:
-            self._emit_segment(
-                walks, round_, m,
-                [tuple(route) for route in routes],
-                [walker[3][m - 1] for walker in plan.walkers],
-                tuple(idx for idx, _remaining in observes),
-            )
-
-    def _plan_segment(self, walks: list[tuple], round_: int):
-        """Longest prefix the cohort can walk without possible divergence.
-
-        Returns ``(m, routes, entries, degrees, curcards)`` — the
-        segment length and, per walker, the node route ``[v_0 .. v_m]``
-        plus the entry port, arrival degree and exact CurCard of each
-        arrival — or ``None`` when no segment of at least two edges is
-        safe.  This is the hot loop of walk-dominated runs, so it works
-        on the graph's adjacency list directly and mutates ``_counts``
-        in place (walkers off their start nodes) for the duration of
-        the planning.
-        """
-        counts = self._counts
-        heap = self._heap
-        watchers = self._watchers
-        dormant_at = self._dormant_at
-        adj = self.graph._adj  # hot path: one indexing per step
-        # Tighten the horizon: stale heap entries (superseded epochs,
-        # finished agents) would otherwise truncate segments for free.
-        while heap:
-            _, _, i0, ep0 = heap[0]
-            if ep0 != self._epoch[i0] or self._state[i0] == _DONE:
-                heapq.heappop(heap)
-            else:
-                break
-        m = min(len(steps) - pos for _, _, steps, pos, _ in walks)
-        if heap:
-            m = min(m, heap[0][0] - round_)
+        # Hot on dynamic-edge runs (most calls return here with no
+        # segment), hence plain comparisons rather than min().
+        bounds = [len(steps) - pos for _i, _h, steps, pos, _w in walks]
+        if observes:
+            bounds.extend(remaining for _i, remaining in observes)
+        m = min(bounds)
+        head = self._live_head()
+        if head is not None:
+            gap = head - round_
+            if gap < m:
+                m = gap
         if self.max_round is not None:
             # Truncating here reproduces the per-step budget raise: the
             # segment-end resume lands at max_round + 1 and the main
             # loop rejects it with the exact per-step message.
-            m = min(m, self.max_round - round_ + 1)
+            gap = self.max_round - round_ + 1
+            if gap < m:
+                m = gap
         if self.max_events is not None:
             # Cap so the virtual resumes cannot cross the budget inside
             # the segment; the violating resume then happens (and
             # raises) at the segment-end round, as per-step execution
             # would.
-            m = min(
-                m, (self.max_events - self._events) // len(walks) + 1
-            )
+            cohort = len(walks) + len(observes)
+            gap = (self.max_events - self._events) // cohort + 1
+            if gap < m:
+                m = gap
         if self._fault_queue is not None:
             # No segment may reach a fault round: a crash is processed
             # at the *start* of its round (unlike moves, which commit
@@ -1201,15 +1168,43 @@ class Simulation:
             # machinery when the crash hits (a crashed walker vanishes
             # mid-walk; survivors replan around the hole).
             fault = self._next_fault_round()
-            if fault is not None:
-                m = min(m, fault - round_ - 1)
+            if fault is not None and fault - round_ - 1 < m:
+                m = fault - round_ - 1
+        if m < 2:
+            return m
+        watchers = self._watchers
+        pos_of = self._pos
+        for idx, _head, _steps, _pos, _watch in walks:
+            if watchers[pos_of[idx]]:
+                return 0
+        return m
+
+    def _plan_segment(
+        self,
+        walks: list[tuple],
+        observes: list[tuple[int, int]],
+        round_: int,
+    ) -> SegmentPlan | None:
+        """Scalar twin of :func:`repro.sim.segments.plan_segment`.
+
+        The longest prefix the cohort can walk without possible
+        divergence, as a :class:`SegmentPlan`, or ``None`` when no
+        segment of at least two edges is safe.  Plans walkers only:
+        a cohort with observers gets ``None``.  Used on dynamic-edge
+        runs and without numpy.  This is the hot loop of such runs, so
+        it works on the graph's adjacency list directly and mutates
+        ``_counts`` in place (walkers off their start nodes) for the
+        duration of the planning.
+        """
+        if observes:
+            return None
+        m = self._segment_horizon(walks, observes, round_)
         if m < 2:
             return None
-        # A departure from a watched start node must notify the
-        # watchers through the ordinary machinery.
-        for idx, _head, _steps, _pos, _watch in walks:
-            if watchers[self._pos[idx]]:
-                return None
+        counts = self._counts
+        watchers = self._watchers
+        dormant_at = self._dormant_at
+        adj = self.graph._adj  # hot path: one indexing per step
         dyn = self._dynamics
         if dyn is not None:
             # A blocked head edge goes through the per-edge retry path.
@@ -1223,10 +1218,13 @@ class Simulation:
         # (restored before returning).
         for idx, _head, _steps, _pos, _watch in walks:
             counts[self._pos[idx]] -= 1
+        watch_fired = False
         try:
             # Pass 1 — structural: simulate each route, truncating
             # before any node whose occupants the ordinary machinery
-            # must wake.
+            # must wake.  A later walker may shorten the joint segment
+            # below an earlier walker's route; the plan is cut to the
+            # final ``m`` on return.
             routes: list[list[int]] = []
             entries: list[list[int]] = []
             degrees: list[list[int]] = []
@@ -1282,10 +1280,9 @@ class Simulation:
                     for t, card in enumerate(cards):
                         if hit1 if card == 1 else hit(card, value):
                             m = t + 1  # the firing edge is the last
+                            watch_fired = True
                             del cards[m:]
                             break
-                if m < 2:
-                    return None
                 curcards = [cards]
             elif len(walks) == 2:
                 # The dominant cohort: a pair — either a merged group
@@ -1333,9 +1330,8 @@ class Simulation:
                     )
                     if fired_a or fired_b:
                         m = t  # the firing edge is the segment's last
+                        watch_fired = True
                         break
-                if m < 2:
-                    return None
                 curcards = [cards_a, cards_b]
             else:
                 curcards = [[] for _ in walks]
@@ -1344,69 +1340,87 @@ class Simulation:
                     for route in routes:
                         v = route[t]
                         occ[v] = occ.get(v, 0) + 1
-                    fired = False
-                    for w, (idx, _head, _steps, _pos, watch) in enumerate(
+                    for w, (_idx, _head, _steps, _pos, watch) in enumerate(
                         walks
                     ):
                         v = routes[w][t]
                         card = counts[v] + occ[v]
                         curcards[w].append(card)
                         if watch is not None and watch_hit(watch, card):
-                            fired = True
-                    if fired:
+                            watch_fired = True
+                    if watch_fired:
                         m = t  # the firing edge is the segment's last
                         break
-                if m < 2:
-                    return None
+            if m < 2:
+                return None
         finally:
             for idx, _head, _steps, _pos, _watch in walks:
                 counts[self._pos[idx]] += 1
-        return m, routes, entries, degrees, curcards
+        for route, ents, degs in zip(routes, entries, degrees):
+            del route[m + 1:]
+            del ents[m:]
+            del degs[m:]
+        walkers = list(zip(routes, entries, degrees, curcards))
+        return SegmentPlan(m, walkers, [], watch_fired)
 
     def _apply_segment(
         self,
         walks: list[tuple],
+        observes: list[tuple[int, int]],
         round_: int,
-        m: int,
-        routes: list[list[int]],
-        entries: list[list[int]],
-        degrees: list[list[int]],
-        curcards: list[list[int]],
+        plan: SegmentPlan,
     ) -> None:
-        """Commit an ``m``-edge segment for every walker as one event.
+        """Commit a :class:`SegmentPlan` for the whole cohort as one event.
 
         Performs the per-step model's bookkeeping for the whole
         traversed prefix — occupancies, move counts, virtual ``events``,
         (in trace mode) per-edge ``move_log`` entries, and a log entry
         from which ``last_change`` is resolved on read — then schedules
-        each walker's next resume at ``round_ + m`` with its per-edge
-        observation history attached.
+        each member's next resume at ``round_ + m`` with its per-edge
+        observation history attached.  An observer neither moves nor
+        changes any occupancy: it receives the per-round CurCard trace
+        of its node, exactly as ``m`` one-round observations would.
         """
         counts = self._counts
+        m = plan.m
         end_round = round_ + m
         obs_rounds = range(round_ + 1, end_round + 1)
         self._c_segments.value += 1
         self._c_segment_edges.value += m * len(walks)
+        if plan.watch_fired:
+            # The segment's last edge fires a walk watch: the walk
+            # helper raises WatchTriggered at the resume.
+            self._c_watch_fires.value += 1
         for w, (idx, _head, _steps, _pos, _watch) in enumerate(walks):
-            route = routes[w]
-            ents = entries[w]
-            counts[route[0]] -= 1
-            counts[route[m]] += 1
-            self._pos[idx] = route[m]
+            nodes, ents, degs, cards = plan.walkers[w]
+            counts[nodes[0]] -= 1
+            counts[nodes[m]] += 1
+            self._pos[idx] = nodes[m]
             self._entry_port[idx] = ents[m - 1]
             self._outcomes[idx].moves += m
-            self._walk_trace[idx] = (obs_rounds, degrees[w], ents, curcards[w])
+            self._walk_trace[idx] = (obs_rounds, degs, ents, cards)
             self._push(end_round, idx)
-        # Virtual per-edge resumes: byte-compatible events accounting.
-        self._events += len(walks) * (m - 1)
-        self._log_segment(round_, m, routes)
-        if self.trace:
-            self._trace_segment(walks, round_, m, routes)
+        for o, (idx, _remaining) in enumerate(observes):
+            cards = plan.observer_cards[o]
+            degree = self.graph.degree(self._pos[idx])
+            # Constant columns as repeat(): zip stops at the cards.
+            self._walk_trace[idx] = (
+                obs_rounds, repeat(degree), repeat(None), cards
+            )
+            self._push(end_round, idx)
+        # Virtual per-edge/per-round resumes: byte-compatible events.
+        self._events += (len(walks) + len(observes)) * (m - 1)
+        routes = [walker[0] for walker in plan.walkers]
+        if walks:  # observers alone change no occupancy
+            self._log_segment(round_, m, routes)
+            if self.trace:
+                self._trace_segment(walks, round_, m, routes)
         if self._emit is not None:
             self._emit_segment(
                 walks, round_, m,
                 [tuple(route) for route in routes],
-                [cards[m - 1] for cards in curcards], (),
+                [walker[3][m - 1] for walker in plan.walkers],
+                tuple(idx for idx, _remaining in observes),
             )
 
     def _trace_segment(self, walks, round_, m, routes) -> None:

@@ -1,10 +1,14 @@
 """The numpy-vectorized segment planner and its route cache.
 
-A strictly optional fast path (the scalar planner in
-:mod:`repro.sim.scheduler` remains complete without numpy), bound by
-the same contract as the scalar planner: **byte-identity** with
-per-step execution, checked by the differential suite against
-:mod:`repro.sim.reference`.
+One of the two segment planners :class:`repro.sim.scheduler.Simulation`
+binds; the other is the scalar ``Simulation._plan_segment``, which
+runs on dynamic-edge runs and without numpy.  Both share one contract:
+``(sim, walks, observes, round_) -> SegmentPlan | None``, starting from
+the same ``Simulation._segment_horizon`` bound and returning a
+:class:`~repro.sim.scheduler.SegmentPlan` whose per-walker lists are
+cut to the final joint length ``m``.  One scheduler method,
+``Simulation._apply_segment``, commits either planner's plan, and the
+differential suite holds both to :mod:`repro.sim.reference`.
 
 The scalar planner re-chases every walk route step by step in Python
 on every segment.  Routes, however, are pure functions of ``(graph,
@@ -14,17 +18,18 @@ chase (the continuation from any mid-plan state is a suffix of the
 same chase), and serves numpy array views thereafter.  Truncation
 bounds, exact per-arrival CurCards and watch evaluation
 (:func:`plan_segment`) are then vector operations over those views.
-``last_change`` is not the planner's concern: the scheduler logs the
-routes of every segment, whichever planner made it, and resolves them
-only when a stability wait reads a node.  The planner also understands
-stationary ``observe`` cohort members (see :mod:`repro.sim.ops`),
-which is what lets ``StarCheck``'s waiters share a segment with the
-dancing agent.
+Cached routes know nothing about per-round edge liveness, which is
+why dynamic-edge runs keep the scalar planner.  ``last_change`` is not
+the planner's concern: the scheduler logs the routes of every
+segment and resolves them only when a stability wait reads a node.
+This planner also understands stationary ``observe`` cohort members
+(see :mod:`repro.sim.ops`), which is what lets ``StarCheck``'s
+waiters share a segment with the dancing agent; the scalar planner
+declines cohorts with observers.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 
 try:
@@ -33,7 +38,7 @@ except ImportError:  # pragma: no cover - numpy is optional
     np = None  # type: ignore[assignment]
 
 from ..graphs.port_graph import PortGraph
-from .scheduler import _DONE, Simulation
+from .scheduler import SegmentPlan, Simulation
 
 HAVE_NUMPY = np is not None
 
@@ -172,26 +177,6 @@ def route_cache_for(graph: PortGraph) -> RouteCache:
 # Vectorized joint segment planning.
 # ----------------------------------------------------------------------
 
-class SegmentPlan:
-    """Output of :func:`plan_segment`, consumed by the scheduler.
-
-    ``walkers[w]`` is ``(nodes, entries, degrees, curcards)`` as plain
-    Python lists (``tolist()`` keeps observations and traces free of
-    numpy scalars); ``observer_cards[o]`` is the per-round CurCard
-    trace of the o-th observer.  ``watch_fired`` marks a segment whose
-    last edge fires a walk watch — the walk helper will raise
-    :class:`WatchTriggered` at the resume.
-    """
-
-    __slots__ = ("m", "walkers", "observer_cards", "watch_fired")
-
-    def __init__(self, m, walkers, observer_cards, watch_fired=False) -> None:
-        self.m = m
-        self.walkers = walkers
-        self.observer_cards = observer_cards
-        self.watch_fired = watch_fired
-
-
 def plan_segment(
     sim: Simulation,
     walks: list[tuple],
@@ -207,57 +192,11 @@ def plan_segment(
     truncation bounds are order-independent minima, so per-walker
     bounds are intersected instead of re-scanned sequentially.
     """
-    heap = sim._heap
-    epoch = sim._epoch
-    state = sim._state
-    while heap:
-        _, _, i0, ep0 = heap[0]
-        if ep0 != epoch[i0] or state[i0] == _DONE:
-            heapq.heappop(heap)
-        else:
-            break
-    cohort = len(walks) + len(observes)
-    bounds = [len(steps) - pos for _i, _h, steps, pos, _w in walks]
-    bounds.extend(rem for _i, rem in observes)
-    m = min(bounds)
-    if heap:
-        gap = heap[0][0] - round_
-        if gap < m:
-            m = gap
-    if sim.max_round is not None:
-        # Truncating here reproduces the per-step budget raise at the
-        # segment-end resume (see the scalar planner).
-        gap = sim.max_round - round_ + 1
-        if gap < m:
-            m = gap
-    if sim.max_events is not None:
-        gap = (sim.max_events - sim._events) // cohort + 1
-        if gap < m:
-            m = gap
-    if sim._dynamics is not None:
-        # Cached routes know nothing about per-round edge liveness;
-        # dynamic-edge trials plan scalar segments instead.
-        return None
-    if sim._fault_queue is not None:
-        # A crash is processed at the *start* of its round (unlike
-        # moves, which commit at the end), so any arrival card planned
-        # for the fault round would go stale the moment the crash hit.
-        # End the segment strictly before it; the per-step machinery
-        # then observes the crash with live counts.
-        fault = sim._next_fault_round()
-        if fault is not None:
-            gap = fault - round_ - 1
-            if gap < m:
-                m = gap
+    m = sim._segment_horizon(walks, observes, round_)
     if m < 2:
         return None
     pos_of = sim._pos
     watchers = sim._watchers
-    for idx, _h, _s, _p, _w in walks:
-        # Departures from a watched node notify through the ordinary
-        # machinery.
-        if watchers[pos_of[idx]]:
-            return None
     n = sim.graph.n
     cache = sim.route_cache
     # Structural pass: cached routes; a route ending early (plan end

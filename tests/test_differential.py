@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.events import EventDispatcher, ListProcessor, WalkSegment
 from repro.graphs import (
     path_graph,
     random_regular,
@@ -37,9 +38,24 @@ from repro.graphs import (
     star_graph,
     torus,
 )
+from repro.metrics import registry as metrics_registry
+from repro.runner.spec import TrialSpec
+from repro.runner.trial import (
+    _build_graph,
+    _prepare_faulted,
+    _resolve_trial_faults,
+    resolve_scenario,
+)
 from repro.sim import AgentSpec, Simulation, WatchTriggered
 from repro.sim import segments as segments_mod
-from repro.sim.agent import move, observe, wait, wait_stable, walk
+from repro.sim.agent import (
+    move,
+    observe,
+    wait,
+    wait_stable,
+    walk,
+    walk_cols,
+)
 from repro.sim.faults import EdgeDynamics, make_dynamics
 from repro.sim.reference import ReferenceSimulation
 
@@ -114,13 +130,16 @@ def scripted_program(script):
                         ("wait!", trig.observation.round,
                          trig.observation.curcard)
                     )
-            elif kind == "walk":
+            elif kind in ("walk", "walk_cols"):
+                # ``walk`` takes an optional fourth field,
+                # ``stop_before_invalid``; ``walk_cols`` returns columns.
+                helper = walk if kind == "walk" else walk_cols
                 try:
-                    trace = yield from walk(ctx, op[1], watch=op[2])
-                    log.append(("walk", tuple(trace)))
+                    result = yield from helper(ctx, op[1], op[2], *op[3:])
+                    log.append((kind, tuple(map(tuple, result))))
                 except WatchTriggered as trig:
                     log.append(
-                        ("walk!", trig.observation.round,
+                        (kind + "!", trig.observation.round,
                          trig.observation.curcard,
                          trig.observation.entry_port)
                     )
@@ -418,6 +437,61 @@ class TestWalkSegments(_PlannerChoice):
                 GRAPHS["path3"], scripts, [0, 0, None],
                 max_round=500,
             )
+        )
+
+    # A later walker cuts the joint segment below the route already
+    # planned for an earlier one.  The earlier ``walk_cols`` walker
+    # must then resume exactly where the cut segment ended.
+    RING8 = ring(8)  # nodes 0-1-2-3-4-5-6-7-0
+    BOUNCE = [0, 1, 0, 7, 0, 1]
+
+    def _later_walker_cut(self, second, third, wakes, starts):
+        graph = self.RING8
+        first = [
+            ("walk_cols", ports_along(graph, self.BOUNCE), None),
+            ("wait", 10, None),
+        ]
+        assert_equivalent(
+            *run_both(graph, [first, second, third], wakes, starts)
+        )
+
+    def test_later_walker_cut_by_dormant_node(self):
+        second = [
+            ("walk_cols", ports_along(self.RING8, [3, 4, 5, 6]), None),
+            ("wait", 10, None),
+        ]
+        self._later_walker_cut(
+            second, [("wait", 5, None)], [0, 0, None], [0, 3, 6]
+        )
+
+    def test_later_walker_cut_by_watched_node(self):
+        second = [
+            ("walk_cols", ports_along(self.RING8, [3, 4, 5, 6]), None),
+            ("wait", 10, None),
+        ]
+        self._later_walker_cut(
+            second, [("wait", 50, ("gt", 1))], [0, 0, 0], [0, 3, 6]
+        )
+
+    def test_later_walker_cut_by_invalid_absolute_step(self):
+        """Port 2 does not exist on a ring: the second walker stops
+        quietly before it (``stop_before_invalid``)."""
+        plan = ports_along(self.RING8, [3, 4, 5]) + (2, 0)
+        second = [("walk", plan, None, True), ("wait", 10, None)]
+        self._later_walker_cut(
+            second, [("wait", 30, None)], [0, 0, 0], [0, 3, 6]
+        )
+
+    def test_later_walker_cut_by_its_watch(self):
+        """The second walker's watch fires on meeting a plain waiter,
+        after both routes were planned."""
+        second = [
+            ("walk_cols", ports_along(self.RING8, [3, 4, 5, 6, 7]),
+             ("gt", 1)),
+            ("wait", 10, None),
+        ]
+        self._later_walker_cut(
+            second, [("wait", 30, None)], [0, 0, 0], [0, 3, 5]
         )
 
 
@@ -759,6 +833,23 @@ class TestFaultedDifferential:
         ))
 
     @pytest.mark.parametrize("graph_name", FAMILIES)
+    @pytest.mark.parametrize("strategy", ["ring-sweep", "ring-random"])
+    def test_walk_cols_cohort_under_dynamics(self, graph_name, strategy):
+        """Blocked edges cut a later ``walk_cols`` walker's route below
+        the routes already planned for earlier walkers."""
+        graph = EXTENDED_GRAPHS[graph_name]
+        rule = tuple(~(i % 3) for i in range(24))
+        scripts = [
+            [("walk_cols", rule, None), ("wait", 3, None)],
+            [("walk_cols", rule[5:], None), ("walk_cols", rule, ("gt", 1))],
+            [("walk_cols", rule[2:], ("eq", 2)), ("wait", 4, None)],
+        ]
+        assert_equivalent(*run_both(
+            graph, scripts, [0, 0, 0],
+            dynamics=lambda g: make_dynamics(strategy, g, seed=13),
+        ))
+
+    @pytest.mark.parametrize("graph_name", FAMILIES)
     @pytest.mark.parametrize("seed", range(12))
     def test_randomized_faulted_programs_agree(self, graph_name, seed):
         """Seeded random scripts with seeded crash schedules (and, on
@@ -792,6 +883,100 @@ class TestFaultedDifferential:
             graph, scripts, wakes,
             faults=faults, dynamics=dynamics, horizon=400,
         ))
+
+
+class TestFaultedSearchTrial:
+    """A whole ``gather_known`` trial on a dynamic ring agrees with the
+    reference: the first trial of the seed-0 hill-climb search over
+    ring n=5 with ``ring-sweep`` dynamics and one random crash."""
+
+    TRIAL = {
+        "key": "gather_known/ring/n=5/labels=1-2/place=nodes:1-2/"
+               "wake=explicit:10-0/faults=crash:2@128/dyn=ring-sweep/seed=0",
+        "algorithm": "gather_known",
+        "family": "ring",
+        "n": 5,
+        "n_bound": 5,
+        "labels": [1, 2],
+        "messages": None,
+        "seed": 0,
+        "graph_seed": 5665171331674006558,
+        "placement": "nodes:1-2",
+        "wake_schedule": "explicit:10-0",
+        "faults": "crash:2@128",
+        "dynamics": "ring-sweep",
+    }
+
+    @pytest.mark.slow
+    def test_trial_matches_reference(self):
+        trial = TrialSpec.from_dict(self.TRIAL)
+        graph = _build_graph(trial)
+        starts, wakes = resolve_scenario(trial, graph, 0)
+        faults = _resolve_trial_faults(trial, wakes, 0)
+        prepared, horizon = _prepare_faulted(
+            trial, graph, None, starts, wakes, faults, 0
+        )
+        fast = prepared.simulation
+        ref = ReferenceSimulation(
+            graph,
+            fast.specs,
+            max_events=fast.max_events,
+            faults=faults,
+            dynamics=make_dynamics(trial.dynamics, graph),
+            horizon=horizon,
+        )
+
+        def summary(result):
+            # Payloads are GatherOutcome objects without __eq__.
+            return (
+                result.final_round, result.total_moves, result.events,
+                result.crashed_labels, result.timed_out,
+                [(o.label, o.wake_round, o.finish_round, o.finish_node,
+                  o.declared, o.crashed, o.moves, repr(o.payload))
+                 for o in result.outcomes],
+            )
+
+        fast_summary = summary(fast.run())
+        assert fast_summary == summary(ref.run())
+        assert fast_summary[:3] == (109248, 7332, 9491)
+
+
+class TestPlannerParity:
+    """Both planners hand the scheduler the same segments: equal
+    ``WalkSegment`` events and walk-watch fire counts on a cohort whose
+    later walker's watch cuts the joint segment."""
+
+    def run_observed(self, planner, monkeypatch):
+        if planner == "scalar":
+            monkeypatch.setattr(segments_mod, "HAVE_NUMPY", False)
+        graph = ring(8)
+        scripts = [
+            [("walk_cols", ports_along(graph, [0, 1, 0, 7, 0, 1]), None)],
+            [("walk_cols", ports_along(graph, [3, 4, 5, 6, 7]), ("gt", 1))],
+            [("wait", 30, None)],
+        ]
+        collector = ListProcessor()
+        with metrics_registry.attached(metrics_registry.Registry()) as reg:
+            Simulation(
+                graph, _specs(scripts, [0, 0, 0], [0, 3, 5]),
+                events=EventDispatcher([collector]),
+            ).run()
+        segments = [e for e in collector.events if isinstance(e, WalkSegment)]
+        return segments, reg.counter("sim.watch.fires").value
+
+    def test_walk_segments_and_watch_fires_match(self, monkeypatch):
+        if not segments_mod.HAVE_NUMPY:
+            pytest.skip("the vectorized planner needs numpy")
+        vector = self.run_observed("vector", monkeypatch)
+        scalar = self.run_observed("scalar", monkeypatch)
+        assert scalar == vector
+        segments, watch_fires = scalar
+        assert segments[0].length == 2
+        assert all(
+            len(route) == seg.length + 1
+            for seg in segments for route in seg.routes
+        )
+        assert watch_fires == 1
 
 
 @settings(max_examples=120, deadline=None)

@@ -15,7 +15,9 @@ that construction is out of the paper's scope, so we substitute
   length ``factor * N**2 * ceil(log2 N)`` is used, and every simulation
   front-end *verifies the sequence against the actual graph* before
   running (:func:`is_universal_for`), so a coverage failure is a loud
-  pre-flight error rather than a silent correctness bug.
+  pre-flight error rather than a silent correctness bug.  Verification
+  walks the sequence from each start node only until that walk has
+  covered the graph, usually a small prefix of the sequence.
 
 The sequence for a given ``N`` is a pure function of ``(N, seed,
 factor)``; all agents of a run share one provider and therefore agree
@@ -103,25 +105,15 @@ SAMPLED_LENGTHS: dict[int, tuple[int, int]] = {
 }
 
 
-def first_exit_port(degree: int, offset: int) -> int:
-    """Exit port for the first step of a walk (no entry port yet)."""
-    return offset % degree
-
-
-def next_exit_port(entry_port: int, offset: int, degree: int) -> int:
-    """The paper's UXS step rule: ``q = (p + x_i) mod d``."""
-    return (entry_port + offset) % degree
-
-
 def walk_ports(
     graph: PortGraph, start: int, sequence: tuple[int, ...]
 ) -> list[int]:
     """Exit ports taken when walking ``sequence`` from ``start``.
 
-    Both walk helpers (and the scheduler's segment planner) share the
-    step iterator in :mod:`repro.sim.ops`, so offline certification,
-    agent-side walks and the fast path cannot disagree on step
-    semantics.
+    Both walk helpers and :func:`is_universal_for` share the step
+    iterator in :mod:`repro.sim.ops`, which resolves each step with the
+    agents' own ``resolve_walk_step``, so offline certification and
+    agent-side walks cannot disagree on step semantics.
     """
     return [
         port
@@ -144,11 +136,24 @@ def nodes_visited(
 
 
 def is_universal_for(graph: PortGraph, sequence: tuple[int, ...]) -> bool:
-    """Does the sequence visit all nodes from *every* start node?"""
-    return all(
-        len(nodes_visited(graph, start, sequence)) == graph.n
-        for start in graph.nodes()
-    )
+    """Does the sequence visit all nodes from *every* start node?
+
+    Each start's walk stops as soon as it has visited all ``n`` nodes:
+    the visited set only grows, so the verdict equals that of the full
+    walk.  The steps go through ``iter_walk``, like those of
+    :func:`nodes_visited`, and it resolves them with the agents' own
+    ``resolve_walk_step``.
+    """
+    steps = uxs_walk_steps(sequence)
+    for start in graph.nodes():
+        visited = {start}
+        walk = iter_walk(graph, start, steps)
+        while len(visited) < graph.n:
+            step = next(walk, None)
+            if step is None:
+                return False
+            visited.add(step[1])
+    return True
 
 
 def generate_sequence(length: int, seed: int) -> tuple[int, ...]:

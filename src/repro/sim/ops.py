@@ -113,9 +113,10 @@ def iter_walk(graph, start: int, steps, entry: int | None = None):
 
     Resolves a walk plan against a concrete graph from ``start`` with
     initial rule state ``entry``, stopping before the first absolute
-    step that is not a valid port.  Used by the UXS helpers
-    (:mod:`repro.explore.uxs`), the scheduler's segment planner and the
-    reference scheduler, so all three agree on step semantics.
+    step that is not a valid port.  Used by the UXS helpers, pre-flight
+    verification included (:mod:`repro.explore.uxs`).  The route chase
+    in :mod:`repro.sim.segments` inlines the step instead, and the
+    tests hold it to per-step replays.
     """
     node = start
     for step in steps:

@@ -13,11 +13,12 @@ differential suite holds both to :mod:`repro.sim.reference`.
 The scalar planner re-chases every walk route step by step in Python
 on every segment.  Routes, however, are pure functions of ``(graph,
 plan, position in plan, node, exit port)`` — so a :class:`RouteCache`
-chases each distinct start state once, registers every suffix of the
-chase (the continuation from any mid-plan state is a suffix of the
-same chase), and serves numpy array views thereafter.  Truncation
-bounds, exact per-arrival CurCards and watch evaluation
-(:func:`plan_segment`) are then vector operations over those views.
+chases each distinct start state once and keeps the chase's nodes and
+exit ports.  The continuation from any state along a chase is a suffix
+of it: a lookup finds the chase that passed through the state and
+serves numpy array views of its tail.  Truncation bounds, exact
+per-arrival CurCards and watch evaluation (:func:`plan_segment`) are
+then vector operations over those views.
 Cached routes know nothing about per-round edge liveness, which is
 why dynamic-edge runs keep the scalar planner.  ``last_change`` is not
 the planner's concern: the scheduler logs the routes of every
@@ -53,17 +54,19 @@ class _PlanRoutes:
     A walk's future is a pure function of its *state* ``(position in
     plan, node, exit port)``: the exit port determines the next edge,
     the traversed edge determines the entry port, and every later step
-    resolves from entry ports alone.  Each chase therefore registers
-    all of its intermediate states, so a walk resuming anywhere along a
-    previously chased route is an O(1) dict hit returning array views.
+    resolves from entry ports alone.  Each chase keeps its start
+    position, its node list and its exit-port list, so a walk resuming
+    anywhere along a previously chased route is found by a scan of the
+    plan's chases and served as array views of that chase.
     """
 
-    __slots__ = ("steps", "_suffix", "_chases")
+    __slots__ = ("steps", "_chases")
 
     def __init__(self, steps: tuple[int, ...]) -> None:
         # Strong reference: keeps id(steps) valid for the cache key.
         self.steps = steps
-        self._suffix: dict[tuple[int, int, int], tuple[int, int]] = {}
+        # (start position, nodes, exit ports, (nodes, entries, degrees)
+        # arrays), in insertion order.
         self._chases: list[tuple] = []
 
     def route(self, graph: PortGraph, pos: int, node: int, port: int):
@@ -74,23 +77,28 @@ class _PlanRoutes:
         route ends at the plan's end or just before the first invalid
         absolute step, exactly like the scalar planner's walk-out.
         """
-        key = (pos, node, port)
-        hit = self._suffix.get(key)
-        if hit is None:
-            self._chase(graph, pos, node, port)
-            hit = self._suffix[key]
-        ci, off = hit
-        nodes, ents, degs = self._chases[ci]
-        return nodes[off:], ents[off:], degs[off:]
+        # A state reached by two chases has identical continuations
+        # (the walk is deterministic), so the first chase in insertion
+        # order serves it.
+        for pos0, nodes, ports, arrays in self._chases:
+            off = pos - pos0
+            if 0 <= off < len(ports) and nodes[off] == node \
+                    and ports[off] == port:
+                break
+        else:
+            arrays = self._chase(graph, pos, node, port)
+            off = 0
+        nodes_a, ents_a, degs_a = arrays
+        return nodes_a[off:], ents_a[off:], degs_a[off:]
 
-    def _chase(self, graph: PortGraph, pos: int, node: int, port: int) -> None:
+    def _chase(self, graph: PortGraph, pos: int, node: int, port: int):
         steps = self.steps
         adj = graph._adj
         total = len(steps)
         nodes = [node]
+        ports = [port]
         ents: list[int] = []
         degs: list[int] = []
-        states = [(pos, node, port)]
         t = pos
         while True:
             node, entry = adj[node][port]
@@ -108,18 +116,14 @@ class _PlanRoutes:
                 port = step
             else:
                 port = (entry + ~step) % degree
-            states.append((t, node, port))
-        ci = len(self._chases)
-        self._chases.append((
+            ports.append(port)
+        arrays = (
             np.asarray(nodes, dtype=np.int64),
             np.asarray(ents, dtype=np.int64),
             np.asarray(degs, dtype=np.int64),
-        ))
-        suffix = self._suffix
-        for off, key in enumerate(states):
-            # A state reached by two chases has identical continuations
-            # (the walk is deterministic), so first registration wins.
-            suffix.setdefault(key, (ci, off))
+        )
+        self._chases.append((pos, nodes, ports, arrays))
+        return arrays
 
 
 class RouteCache:

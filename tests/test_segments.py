@@ -2,8 +2,10 @@
 
 Chased routes must equal an independent per-edge replay, suffixes of
 one chase must be served without re-chasing, and plans are keyed by
-tuple identity.  The planner's byte-identity with per-step execution
-is checked by the differential suite against :mod:`repro.sim.reference`.
+tuple identity.  Serving suffixes must not change what a trial
+simulates: event, segment and chase counts are pinned.  The planner's
+byte-identity with per-step execution is checked by the differential
+suite against :mod:`repro.sim.reference`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,11 @@ import pytest
 
 pytest.importorskip("numpy")
 
+from repro.baselines.talking import run_talking_gather
+from repro.core.runs import run_gather_known
 from repro.graphs import random_regular, ring, torus
+from repro.metrics import registry as metrics_registry
+from repro.metrics.registry import Registry
 from repro.sim.segments import RouteCache, route_cache_for
 
 GRAPHS = {
@@ -108,3 +114,104 @@ class TestRouteCache:
         g = ring(6)
         assert route_cache_for(g) is route_cache_for(g)
         assert route_cache_for(g) is not route_cache_for(ring(6))
+
+
+def converging_chases(graph, length=6):
+    """Two start states of the all-port-0 plan whose routes meet.
+
+    Chase A starts at position 0 on node 0.  Chase B starts at
+    position 1 on a neighbour of A's position-2 node other than A's
+    position-1 node, so both reach the state ``(2, a2, 0)``.
+    """
+    steps = tuple([0] * length)
+    a1 = graph.neighbor(0, 0)[0]
+    a2 = graph.neighbor(a1, 0)[0]
+    for v, v_port in graph._adj[a2]:  # v_port at v leads back to a2
+        if v != a1:
+            return steps, (0, 0, 0), (1, v, v_port), a2
+    raise AssertionError("a2 has a single neighbour")
+
+
+class TestRouteLookup:
+    """How a lookup finds the chase that passed through its state."""
+
+    graph = GRAPHS["regular8"]
+
+    def test_shared_state_is_served_by_the_first_chase(self):
+        steps, a, b, a2 = converging_chases(self.graph)
+        shared = (3, self.graph.neighbor(a2, 0)[0], 0)  # on both routes
+        for first, second in ((a, b), (b, a)):
+            cache = RouteCache(self.graph)
+            nodes_first, _, _ = cache.route(steps, *first)
+            nodes_second, _, _ = cache.route(steps, *second)
+            (pr,) = cache._plans.values()
+            assert len(pr._chases) == 2
+            nodes, ents, degs = cache.route(steps, *shared)
+            assert len(pr._chases) == 2
+            assert nodes.base is nodes_first.base
+            assert nodes.base is not nodes_second.base
+            exp = naive_chase(self.graph, steps, *shared)
+            assert (nodes.tolist(), ents.tolist(), degs.tolist()) == exp
+
+    def test_same_position_and_node_with_other_port_chases_anew(self):
+        steps, a, _b, a2 = converging_chases(self.graph)
+        cache = RouteCache(self.graph)
+        cache.route(steps, *a)
+        (pr,) = cache._plans.values()
+        nodes, ents, degs = cache.route(steps, 2, a2, 1)
+        assert len(pr._chases) == 2
+        assert (nodes.tolist(), ents.tolist(), degs.tolist()) == \
+            naive_chase(self.graph, steps, 2, a2, 1)
+
+    def test_lookup_outside_a_chase_misses(self):
+        graph = ring(6)
+        cache = RouteCache(graph)
+        steps = (0, 0, 0, 5, 0, 0)  # port 5 ends the route at position 3
+        nodes, _, _ = cache.route(steps, 1, 0, 0)
+        assert len(nodes) == 3  # two edges: positions 1 and 2
+        (pr,) = cache._plans.values()
+        # Position 3 is one past the chase's last edge, although the
+        # chase did arrive at nodes[2]; position 0 is before its start.
+        for pos, node in ((3, int(nodes[2])), (0, int(nodes[0]))):
+            before = len(pr._chases)
+            got, ents, degs = cache.route(steps, pos, node, 0)
+            assert len(pr._chases) == before + 1
+            assert (got.tolist(), ents.tolist(), degs.tolist()) == \
+                naive_chase(graph, steps, pos, node, 0)
+
+
+def trial_counts(run, graph):
+    """Events, walk segments and route chases of one trial."""
+    reg = Registry("t")
+    with metrics_registry.attached(reg):
+        run(graph)
+    names = ("sim.events", "sim.walk.segments", "sim.walk.segment_edges")
+    values = {
+        row["name"]: row["value"]
+        for row in reg.snapshot()["series"]
+        if row["name"] in names
+    }
+    chases = sum(
+        len(pr._chases) for pr in route_cache_for(graph)._plans.values()
+    )
+    return tuple(values[name] for name in names) + (chases,)
+
+
+class TestCountsStayExact:
+    """Pinned per-trial counts: how routes are cached and looked up
+    must not change what is simulated, nor how often a route is
+    chased."""
+
+    def test_talking_trial(self):
+        counts = trial_counts(
+            lambda g: run_talking_gather(g, [1, 2], 12, start_nodes=[0, 5]),
+            random_regular(12, 3, seed=3),
+        )
+        assert counts == (1450, 3, 1444, 4)
+
+    def test_gather_known_ring_trial(self):
+        counts = trial_counts(
+            lambda g: run_gather_known(g, [1, 2], 10, start_nodes=[0, 4]),
+            ring(10, seed=2),
+        )
+        assert counts == (69634, 153, 69004, 6)

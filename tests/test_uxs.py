@@ -8,6 +8,8 @@ sampled defaults are re-verified against the benchmark families.
 from __future__ import annotations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.explore.uxs import (
     SAMPLED_LENGTHS,
@@ -20,9 +22,12 @@ from repro.explore.uxs import (
     walk_ports,
 )
 from repro.graphs import (
+    PortGraph,
     family_for_size,
     iter_all_port_graphs,
     random_connected_graph,
+    random_regular,
+    ring,
     single_edge,
 )
 
@@ -41,6 +46,89 @@ class TestWalkMechanics:
     def test_empty_sequence_visits_start_only(self):
         g = single_edge()
         assert nodes_visited(g, 0, ()) == {0}
+
+
+def covers_from_every_start(graph, sequence):
+    """Reference verdict: full ``iter_walk`` walks, no early stop."""
+    return all(
+        len(nodes_visited(graph, start, sequence)) == graph.n
+        for start in graph.nodes()
+    )
+
+
+@st.composite
+def small_graphs(draw):
+    """Connected port graphs with at most 8 nodes, the 1-node one too."""
+    n = draw(st.integers(1, 8))
+    if n == 1:
+        return PortGraph(1, [])
+    seed = draw(st.integers(0, 2**16))
+    # Dense pairings (e.g. 5-regular on 6 nodes) rarely come out simple.
+    degrees = [d for d in (2, 3) if d < n and n * d % 2 == 0]
+    if degrees and draw(st.booleans()):
+        return random_regular(n, draw(st.sampled_from(degrees)), seed=seed)
+    return random_connected_graph(n, seed=seed)
+
+
+class TestEarlyStopVerdict:
+    """``is_universal_for`` stops each walk at coverage; the verdict
+    must equal the full walk's on every prefix of the sequence."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(graph=small_graphs())
+    def test_matches_full_walk_on_every_prefix(self, graph):
+        # A 7-node graph takes the sampled N = 8 sequence (144 steps)
+        # rather than the 588-step generated N = 7 one: the reference
+        # is quadratic in the sequence length.
+        bound = 8 if graph.n == 7 else graph.n
+        seq = UXSProvider().sequence(bound)
+        for length in range(len(seq) + 1):
+            prefix = seq[:length]
+            assert is_universal_for(graph, prefix) == \
+                covers_from_every_start(graph, prefix), length
+
+    def test_prefixes_give_both_verdicts(self, provider):
+        graph = ring(6)
+        seq = provider.sequence(6)
+        # The shortest covering prefix covers on exactly its last step.
+        k = next(
+            length for length in range(len(seq) + 1)
+            if covers_from_every_start(graph, seq[:length])
+        )
+        assert k > 0
+        assert is_universal_for(graph, seq[:k])
+        assert not is_universal_for(graph, seq[:k - 1])
+
+    def test_empty_sequence(self):
+        assert not is_universal_for(single_edge(), ())
+        assert is_universal_for(PortGraph(1, []), ())
+
+    def test_one_node_graph_is_covered_before_any_step(self):
+        # Its only node has no ports, so no step could be taken.
+        assert is_universal_for(PortGraph(1, []), (3, 5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=small_graphs(),
+        sequence=st.lists(st.integers(-6, 6), max_size=60).map(tuple),
+    )
+    def test_matches_full_walk_on_any_offsets(self, graph, sequence):
+        # A pinned sequence may hold negative offsets: they encode as
+        # absolute ports, and an invalid one ends the walk.  The full
+        # walk cannot step off the portless 1-node graph at all.
+        assume(graph.n > 1)
+        assert is_universal_for(graph, sequence) == \
+            covers_from_every_start(graph, sequence)
+
+    def test_pinned_negative_offset_is_walked_like_the_agents(self):
+        # -3 encodes absolute port 2, which a degree-1 node lacks, so
+        # the walk ends before its first edge; -1 is absolute port 0.
+        provider = UXSProvider()
+        provider.pin(2, (-3,))
+        with pytest.raises(UniversalityError):
+            provider.verify_for_graph(2, single_edge())
+        provider.pin(2, (-1,))
+        provider.verify_for_graph(2, single_edge())
 
 
 class TestPinnedCertification:

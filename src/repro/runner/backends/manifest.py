@@ -15,17 +15,18 @@ daemon, no lock server.  The manifest itself is a pure function of the
 spec (full grid, canonical order), so concurrent creators write
 identical bytes and the atomic-replace race is benign.
 
-Workers come in two shapes:
+Every participant runs one claim loop, :func:`run_chunks`: claim a
+chunk, execute it, write its result, and collect the results other
+workers landed.  It has two callers:
 
-* ``python -m repro worker`` (see :mod:`repro.runner.cli`) — claims
-  chunks, executes them, writes chunk results into the manifest *and*
-  ordinary v2 shards into its own store, then exits when nothing is
-  claimable.  ``python -m repro merge`` later unions the sibling
+* ``python -m repro worker`` (see :mod:`repro.runner.cli`) — writes
+  the records it sees into its own store as ordinary v2 shards and
+  exits when nothing is claimable (with ``--steal``: once every chunk
+  has a result).  ``python -m repro merge`` later unions the sibling
   stores into one canonical store.
-* the in-engine :class:`ManifestBackend` — same claim loop, but it
-  also polls for chunks claimed by other workers so
-  :func:`~repro.runner.engine.run_experiment` can return the complete
-  record set (and persist canonical shards) once every chunk lands.
+* the in-engine :class:`ManifestBackend` — always waits until every
+  chunk has a result, so :func:`~repro.runner.engine.run_experiment`
+  can return the complete record set (and persist canonical shards).
 
 Chunks always cover the *full* trial grid — not one worker's view of
 what is uncached — so every participant agrees on chunk identity
@@ -53,6 +54,7 @@ make that call easy).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import pathlib
@@ -202,13 +204,17 @@ def ensure_manifest(
     estimate (:func:`plan_chunk_size`), refined by any metrics
     sidecars already under ``root``.  A manifest whose spec hash does
     not match raises :class:`ManifestError` (the directory was moved
-    or the package version changed under it).
+    or the package version changed under it), and so does one whose
+    chunks do not flatten to exactly the spec's trial keys in grid
+    order (a hand-edited or stale manifest) — checked here, once, so
+    no participant ever claims a chunk it could not execute.
     """
     if chunk_size is None:
         chunk_size = plan_chunk_size(spec, root)
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     spec_hash = spec.spec_hash()
+    keys = [t.key for t in spec.trials()]
     mdir = manifest_dir(root, spec_hash)
     path = mdir / "manifest.json"
     if not path.exists():
@@ -233,7 +239,6 @@ def ensure_manifest(
                 time.sleep(0.05)
         else:
             os.close(fd)
-            keys = [t.key for t in spec.trials()]
             chunks = [
                 keys[start:start + chunk_size]
                 for start in range(0, len(keys), chunk_size)
@@ -256,6 +261,11 @@ def ensure_manifest(
         raise ManifestError(
             f"manifest {path} belongs to spec "
             f"{payload.get('spec_hash')!r}, not {spec_hash!r}"
+        )
+    if [key for chunk in payload["chunks"] for key in chunk] != keys:
+        raise ManifestError(
+            f"manifest {path} does not chunk the trial grid of spec "
+            f"{spec_hash}; the manifest is stale — delete it to rebuild"
         )
     return mdir, payload
 
@@ -388,8 +398,8 @@ def claim_next(
     pass takes over claims older than the TTL (see
     :func:`steal_claim`).  ``None`` when nothing is claimable — which,
     for a stealing worker, does *not* mean the sweep is finished:
-    in-flight foreign claims may still fail and age past the TTL (the
-    worker CLI polls for exactly that).
+    in-flight foreign claims may still fail and age past the TTL
+    (:func:`run_chunks` polls for exactly that when asked to wait).
     """
     for chunk_id in range(n_chunks):
         if read_chunk_result(mdir, chunk_id) is not None:
@@ -495,21 +505,25 @@ def reset_failed_chunks(mdir: pathlib.Path, payload: dict) -> int:
         if all(record.get("ok") for record in records):
             continue
         chunk_result_path(mdir, chunk_id).unlink(missing_ok=True)
-        claim = mdir / "claims" / f"{_chunk_name(chunk_id)}.claim"
-        claim.unlink(missing_ok=True)
+        _claim_path(mdir, chunk_id).unlink(missing_ok=True)
         reset += 1
     return reset
 
 
 def manifest_status(mdir: pathlib.Path, payload: dict) -> dict:
-    """Progress counters: total/claimed/done chunk counts."""
+    """Progress counters: total/claimed/done chunk counts.
+
+    *Done* means what the claim loop means by it: a valid result
+    (:func:`read_chunk_result`), so a dethroned worker's late write or
+    an unreadable result file does not count.
+    """
     n_chunks = len(payload["chunks"])
     done = sum(
-        1 for i in range(n_chunks) if chunk_result_path(mdir, i).exists()
+        1 for i in range(n_chunks)
+        if read_chunk_result(mdir, i) is not None
     )
     claimed = sum(
-        1 for i in range(n_chunks)
-        if (mdir / "claims" / f"{_chunk_name(i)}.claim").exists()
+        1 for i in range(n_chunks) if _claim_path(mdir, i).exists()
     )
     return {"chunks": n_chunks, "claimed": claimed, "done": done}
 
@@ -519,8 +533,10 @@ def detailed_status(
 ) -> dict:
     """Per-chunk progress plus the ages of in-flight claims.
 
-    A chunk is *done* when its result landed, *in flight* when it is
-    claimed but has no result yet, and *pending* otherwise.  In-flight
+    A chunk is *done* when a valid result landed (the claim loop's
+    test, :func:`read_chunk_result` — a dethroned worker's late write
+    does not count), *in flight* when it is claimed but has no valid
+    result yet, and *pending* otherwise.  In-flight
     claims report their age (seconds since the claim file's mtime) and
     the claiming worker — an in-flight claim much older than a chunk's
     expected runtime is a crashed worker whose claim file should be
@@ -541,7 +557,7 @@ def detailed_status(
     pending = 0
     in_flight: list[dict] = []
     for chunk_id in range(n_chunks):
-        if chunk_result_path(mdir, chunk_id).exists():
+        if read_chunk_result(mdir, chunk_id) is not None:
             done += 1
             continue
         claim = read_claim(mdir, chunk_id)
@@ -615,23 +631,118 @@ def execute_chunk(
     by_key: dict,
     provider: UXSProvider,
 ) -> list[dict]:
-    """Execute one chunk's trials in manifest order."""
-    records = []
-    for key in keys:
-        try:
-            trial = by_key[key]
-        except KeyError:
+    """Execute one chunk's trials in manifest order.
+
+    ``spec_hash`` names the manifest the keys come from; every key is
+    known to be in ``by_key`` because :func:`ensure_manifest` checked
+    the chunks against the spec's grid at attach time.
+    """
+    return [
+        execute_trial(by_key[key], provider=provider).record()
+        for key in keys
+    ]
+
+
+def run_chunks(
+    mdir: pathlib.Path,
+    payload: dict,
+    spec: ExperimentSpec,
+    provider: UXSProvider,
+    worker_id: str,
+    *,
+    steal_ttl: float | None = None,
+    wait: bool = True,
+    timeout: float = 600.0,
+    poll_interval: float = 0.2,
+    max_chunks: int | None = None,
+) -> Iterator[tuple[int, list[dict], bool | None]]:
+    """The claim loop every manifest participant runs.
+
+    Claims chunks (:func:`claim_next`, stealing claims older than
+    ``steal_ttl`` when set), announces each with a
+    ``BackendChunkClaimed`` event, executes it, writes its result and
+    yields ``(chunk_id, records, stolen)``.  Once nothing is claimable
+    (or ``max_chunks`` were claimed) it collects the results other
+    workers landed, yielding ``(chunk_id, records, None)`` for each.
+
+    Without ``wait`` (or after ``max_chunks``) that one collect pass
+    ends the loop.  With ``wait`` it re-tries claims and collects
+    every ``poll_interval`` seconds until every chunk has a result,
+    and raises :class:`ManifestError` once ``timeout`` seconds pass
+    with no chunk claimed and no result newly landed.  Attached
+    metrics: the ``runner.manifest.claim_seconds`` timer and the
+    ``runner.manifest.chunks.{claimed,stolen,collected}`` counters.
+    """
+    chunks: list[list[str]] = payload["chunks"]
+    spec_hash = payload["spec_hash"]
+    by_key = {t.key: t for t in spec.trials()}
+    emit = _event_stream.current()
+    reg = _metrics_registry.current()
+    claim_timer = (
+        contextlib.nullcontext if reg is None
+        else lambda: reg.timer("runner.manifest.claim_seconds")
+    )
+    seen: set[int] = set()
+    claimed = 0
+    deadline = time.monotonic() + timeout
+    while True:
+        claim = None
+        if max_chunks is None or claimed < max_chunks:
+            with claim_timer():
+                claim = claim_next(
+                    mdir, len(chunks), worker_id, steal_ttl=steal_ttl
+                )
+        if claim is not None:
+            chunk_id, token, stolen = claim
+            claimed += 1
+            if reg is not None:
+                reg.counter("runner.manifest.chunks.claimed").value += 1
+                if stolen:
+                    reg.counter("runner.manifest.chunks.stolen").value += 1
+            if emit is not None:
+                emit.emit(_EvBackendChunkClaimed(
+                    chunk=chunk_id,
+                    chunks=len(chunks),
+                    worker=worker_id,
+                    spec_hash=spec_hash,
+                ))
+            records = execute_chunk(
+                spec_hash, chunks[chunk_id], by_key, provider
+            )
+            write_chunk_result(
+                mdir, chunk_id, spec_hash, records, token=token
+            )
+            seen.add(chunk_id)
+            deadline = time.monotonic() + timeout
+            yield chunk_id, records, stolen
+            continue
+        for chunk_id in range(len(chunks)):
+            if chunk_id in seen:
+                continue
+            records = read_chunk_result(mdir, chunk_id)
+            if records is None:
+                continue
+            seen.add(chunk_id)
+            deadline = time.monotonic() + timeout
+            if reg is not None:
+                reg.counter("runner.manifest.chunks.collected").value += 1
+            yield chunk_id, records, None
+        if not wait or len(seen) == len(chunks) or claimed == max_chunks:
+            return
+        if time.monotonic() > deadline:
+            missing = sorted(set(range(len(chunks))) - seen)
             raise ManifestError(
-                f"manifest for spec {spec_hash} names trial {key!r} "
-                "which the spec does not generate; the manifest is "
-                "stale — delete it to rebuild"
-            ) from None
-        records.append(execute_trial(trial, provider=provider).record())
-    return records
+                f"timed out: {len(missing)} chunk(s) claimed by other "
+                f"workers made no progress for {timeout:g}s: {missing}; "
+                "if a worker crashed, re-run with a steal TTL (worker "
+                "--steal) or delete its stale claims/ file(s) under "
+                f"{mdir} and re-run"
+            )
+        time.sleep(poll_interval)
 
 
 class ManifestBackend:
-    """Claim chunks from the store's manifest; poll for the rest."""
+    """Claim chunks from the store's manifest; wait for the rest."""
 
     name = "manifest"
 
@@ -643,7 +754,6 @@ class ManifestBackend:
                 "store directory; pass store=<dir> (and leave caching "
                 "enabled)"
             )
-        spec = ctx.spec
         chunk_size = ctx.options.get("chunk_size", _DEFAULT_CHUNK_SIZE)
         if chunk_size in (None, "auto"):
             chunk_size = None  # plan from the spec's cost estimate
@@ -652,114 +762,32 @@ class ManifestBackend:
         worker_id = str(
             ctx.options.get("worker_id", f"engine-{os.getpid()}")
         )
-        poll_interval = float(ctx.options.get("poll_interval", 0.2))
-        timeout = float(ctx.options.get("timeout", 600.0))
         steal_ttl = ctx.options.get("steal_ttl")
-        if steal_ttl is not None:
-            steal_ttl = float(steal_ttl)
-        mdir, payload = ensure_manifest(store.root, spec, chunk_size)
+        mdir, payload = ensure_manifest(store.root, ctx.spec, chunk_size)
         reset_failed_chunks(mdir, payload)
-        chunks: list[list[str]] = payload["chunks"]
-        by_key = {t.key: t for t in spec.trials()}
         # The engine only wants records for what it considers pending;
         # chunks may also contain locally-cached trials (the manifest
         # covers the full grid so all hosts agree on chunk identity).
         pending_keys = {t.key for t in ctx.pending}
-        provider = UXSProvider(**ctx.provider_args)
-        seen: set[int] = set()
-
-        emit = _event_stream.current()
         reg = _metrics_registry.current()
-
-        def claim_and_run():
-            """Claim, execute and write one chunk, yielding its pending
-            records; returns False when nothing was claimable."""
-            if reg is None:
-                claimed = claim_next(
-                    mdir, len(chunks), worker_id, steal_ttl=steal_ttl
-                )
-            else:
-                with reg.timer("runner.manifest.claim_seconds"):
-                    claimed = claim_next(
-                        mdir, len(chunks), worker_id, steal_ttl=steal_ttl
-                    )
-            if claimed is None:
-                return False
-            chunk_id, token, stolen = claimed
-            if reg is not None:
-                reg.counter("runner.manifest.chunks.claimed").value += 1
-                if stolen:
-                    reg.counter(
-                        "runner.manifest.chunks.stolen"
-                    ).value += 1
-            if emit is not None:
-                emit.emit(_EvBackendChunkClaimed(
-                    chunk=chunk_id,
-                    chunks=len(chunks),
-                    worker=worker_id,
-                    spec_hash=payload["spec_hash"],
-                ))
-            records = execute_chunk(
-                payload["spec_hash"], chunks[chunk_id], by_key, provider
-            )
-            write_chunk_result(
-                mdir, chunk_id, payload["spec_hash"], records, token=token
-            )
-            seen.add(chunk_id)
+        for _, records, stolen in run_chunks(
+            mdir, payload, ctx.spec, UXSProvider(**ctx.provider_args),
+            worker_id,
+            steal_ttl=None if steal_ttl is None else float(steal_ttl),
+            wait=True,
+            timeout=float(ctx.options.get("timeout", 600.0)),
+            poll_interval=float(ctx.options.get("poll_interval", 0.2)),
+        ):
             for record in records:
-                if record["key"] in pending_keys:
-                    if reg is not None:
-                        reg.counter(
-                            "runner.backend.records", backend="manifest"
-                        ).value += 1
-                    yield record
-            return True
-
-        while (yield from claim_and_run()):
-            pass
-
-        # Every remaining chunk is claimed by another worker: collect
-        # its result as it lands (deterministic execution makes the
-        # bytes identical to what this process would have produced).
-        # With a steal TTL, a claim that ages past it while we wait is
-        # taken over and executed here instead of timing the run out.
-        deadline = time.monotonic() + timeout
-        while len(seen) < len(chunks):
-            progressed = False
-            for chunk_id in range(len(chunks)):
-                if chunk_id in seen:
+                if record["key"] not in pending_keys:
                     continue
-                records = read_chunk_result(mdir, chunk_id)
-                if records is None:
-                    continue
-                seen.add(chunk_id)
-                progressed = True
-                if reg is not None:
+                if stolen is None:
+                    ctx.collected += 1
+                elif reg is not None:
                     reg.counter(
-                        "runner.manifest.chunks.collected"
+                        "runner.backend.records", backend="manifest"
                     ).value += 1
-                for record in records:
-                    if record["key"] in pending_keys:
-                        ctx.collected += 1
-                        yield record
-            if len(seen) == len(chunks):
-                break
-            if steal_ttl is not None and (yield from claim_and_run()):
-                deadline = time.monotonic() + timeout
-                continue
-            if progressed:
-                deadline = time.monotonic() + timeout
-            elif time.monotonic() > deadline:
-                missing = sorted(set(range(len(chunks))) - seen)
-                raise ManifestError(
-                    f"timed out waiting for {len(missing)} chunk(s) "
-                    f"claimed by other workers: {missing}; if a worker "
-                    "crashed, re-run with a steal TTL (worker --steal) "
-                    "or delete its stale claims/ file(s) under "
-                    f"{mdir} and re-run"
-                )
-            time.sleep(poll_interval)
-
+                yield record
         if reg is not None:
             # One sidecar per participant; the merge CLI folds them
             # into a single fleet-wide snapshot.

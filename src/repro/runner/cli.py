@@ -82,10 +82,7 @@ from ..events.processors import (
     JsonlTraceProcessor,
     ProgressMeter as _ProgressMeter,  # noqa: F401 - public via this module
 )
-from ..events.types import (
-    BackendChunkClaimed as _EvBackendChunkClaimed,
-    SweepProgress as _EvSweepProgress,
-)
+from ..events.types import SweepProgress as _EvSweepProgress
 from ..metrics import registry as _metrics_registry
 from ..metrics import snapshot as _metrics_snapshot
 from . import query as query_mod
@@ -1062,16 +1059,13 @@ def worker_main(argv: list[str]) -> int:
 
 
 def _worker_run(args, spec, mdir, payload, worker_id) -> int:
-    """The claim/execute loop of ``worker_main`` (events attached)."""
+    """Drive the manifest claim loop for ``worker_main`` (events
+    attached): store what it yields, print progress and a summary."""
     from ..explore.uxs import UXSProvider
     from .backends import manifest as manifest_mod
 
-    emit = _event_stream.current()
     reg = _metrics_registry.current()
-    chunks: list[list[str]] = payload["chunks"]
-    by_key = {t.key: t for t in spec.trials()}
     store = ResultStore(args.cache_dir)
-    provider = UXSProvider()
     # Chunk lines go through the console processor: concurrent workers
     # of one study share the terminal's stderr, and ``note`` writes a
     # whole line in one locked call so their output can interleave only
@@ -1093,107 +1087,59 @@ def _worker_run(args, spec, mdir, payload, worker_id) -> int:
     # Saving re-serializes every accumulated shard, so doing it after
     # *every* chunk turns a long sweep quadratic; throttle to one save
     # per interval (a crash re-runs at most a few seconds of chunks,
-    # and their manifest results survive for the next worker's exit
-    # sweep below).
+    # and their manifest results survive for the next worker's
+    # collect pass).
     save_interval = 5.0
     last_save = _time.monotonic()
-    # A --steal worker only gives up when unfinished chunks stop
-    # making progress for far longer than any claim could stay both
-    # live and un-stealable (claims are stealable once past the TTL,
-    # so a healthy fleet always progresses eventually).
-    idle_timeout = (steal_ttl or 0.0) + 600.0
-    idle_since = _time.monotonic()
-    last_unfinished = len(chunks)
-    while args.max_chunks is None or claimed < args.max_chunks:
-        if reg is None:
-            claim = manifest_mod.claim_next(
-                mdir, len(chunks), worker_id, steal_ttl=steal_ttl
-            )
-        else:
-            with reg.timer("runner.manifest.claim_seconds"):
-                claim = manifest_mod.claim_next(
-                    mdir, len(chunks), worker_id, steal_ttl=steal_ttl
+    chunks = manifest_mod.run_chunks(
+        mdir, payload, spec, UXSProvider(), worker_id,
+        steal_ttl=steal_ttl,
+        wait=args.steal,
+        # A --steal worker only gives up when unfinished chunks stop
+        # making progress for far longer than any claim could stay
+        # both live and un-stealable (claims are stealable once past
+        # the TTL, so a healthy fleet always progresses eventually).
+        timeout=(steal_ttl or 0.0) + 600.0,
+        poll_interval=args.poll_interval,
+        max_chunks=args.max_chunks,
+    )
+    try:
+        for chunk_id, records, was_stolen in chunks:
+            if was_stolen is None:
+                # A chunk another worker executed — possibly one that
+                # crashed before its own (throttled) save — so any one
+                # worker exiting normally after the last result is
+                # enough for 'merge' to see the whole study.
+                for record in records:
+                    if record["ok"]:
+                        ok_records.setdefault(record["key"], record)
+                continue
+            claimed += 1
+            stolen += 1 if was_stolen else 0
+            executed += len(records)
+            failed += sum(1 for r in records if not r["ok"])
+            for record in records:
+                meter.simulated += 1
+                if record["ok"]:
+                    ok_records[record["key"]] = record
+            if (
+                ok_records
+                and _time.monotonic() - last_save >= save_interval
+            ):
+                store.save(spec, ok_records)
+                last_save = _time.monotonic()
+            if not args.quiet:
+                status = manifest_mod.manifest_status(mdir, payload)
+                elapsed = max(_time.monotonic() - meter.started, 1e-9)
+                taken = " (stolen)" if was_stolen else ""
+                console.note(
+                    f"[chunk {chunk_id}]{taken} {len(records)} trial(s)  "
+                    f"done {status['done']}/{status['chunks']} chunks  "
+                    f"({meter.simulated / elapsed:.1f} trials/s)"
                 )
-        if claim is None:
-            if not args.steal:
-                break
-            # Nothing claimable, but the sweep may not be finished:
-            # foreign claims are in flight.  Wait for their results to
-            # land — or for their claims to age past the TTL, at which
-            # point the next claim_next above steals them.
-            unfinished = sum(
-                1 for i in range(len(chunks))
-                if manifest_mod.read_chunk_result(mdir, i) is None
-            )
-            if unfinished == 0:
-                break
-            if unfinished < last_unfinished:
-                last_unfinished = unfinished
-                idle_since = _time.monotonic()
-            elif _time.monotonic() - idle_since > idle_timeout:
-                print(
-                    f"error: {unfinished} chunk(s) still in flight "
-                    f"made no progress for {idle_timeout:.0f}s; "
-                    "their claims are being refreshed elsewhere or "
-                    "the shared filesystem is stuck"
-                )
-                return 1
-            _time.sleep(args.poll_interval)
-            continue
-        chunk_id, token, was_stolen = claim
-        claimed += 1
-        stolen += 1 if was_stolen else 0
-        idle_since = _time.monotonic()
-        if reg is not None:
-            reg.counter("runner.manifest.chunks.claimed").value += 1
-            if was_stolen:
-                reg.counter("runner.manifest.chunks.stolen").value += 1
-        if emit is not None:
-            emit.emit(_EvBackendChunkClaimed(
-                chunk=chunk_id, chunks=len(chunks), worker=worker_id,
-                spec_hash=payload["spec_hash"],
-            ))
-        try:
-            records = manifest_mod.execute_chunk(
-                payload["spec_hash"], chunks[chunk_id], by_key, provider
-            )
-        except manifest_mod.ManifestError as exc:
-            print(f"error: {exc}")
-            return 2
-        manifest_mod.write_chunk_result(
-            mdir, chunk_id, payload["spec_hash"], records, token=token
-        )
-        executed += len(records)
-        failed += sum(1 for r in records if not r["ok"])
-        for record in records:
-            meter.simulated += 1
-            if record["ok"]:
-                ok_records[record["key"]] = record
-        if (
-            ok_records
-            and _time.monotonic() - last_save >= save_interval
-        ):
-            store.save(spec, ok_records)
-            last_save = _time.monotonic()
-        if not args.quiet:
-            status = manifest_mod.manifest_status(mdir, payload)
-            elapsed = max(_time.monotonic() - meter.started, 1e-9)
-            taken = " (stolen)" if was_stolen else ""
-            console.note(
-                f"[chunk {chunk_id}]{taken} {len(records)} trial(s)  "
-                f"done {status['done']}/{status['chunks']} chunks  "
-                f"({meter.simulated / elapsed:.1f} trials/s)"
-            )
-    # Exit sweep: fold in every chunk result that has landed —
-    # including chunks executed by workers that crashed before their
-    # own (throttled) save — so any one worker exiting normally after
-    # the last result is enough for 'merge' to see the whole study.
-    # Records are deterministic, so imports never disagree with ours.
-    for chunk_id in range(len(chunks)):
-        records = manifest_mod.read_chunk_result(mdir, chunk_id)
-        for record in records or ():
-            if record["ok"]:
-                ok_records.setdefault(record["key"], record)
+    except manifest_mod.ManifestError as exc:
+        print(f"error: {exc}")
+        return 1
     # Failures are never stored (they re-run), as in the engine.
     if ok_records:
         store.save(spec, ok_records)

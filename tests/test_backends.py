@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 
 import pytest
@@ -40,6 +41,21 @@ from repro.runner.backends import manifest as manifest_mod
 from repro.runner.backends.pipelined import plan_batches
 from repro.runner.spec import SpecError
 from repro.runner.trial import execute_trial
+
+
+def cli_spec(sizes=(4, 5), seeds=(0, 1)) -> ExperimentSpec:
+    """The spec ``python -m repro worker --sizes .. --seeds ..`` runs."""
+    return ExperimentSpec(
+        algorithm="gather_known", family="ring", sizes=sizes,
+        label_sets=((1, 2),), seeds=seeds,
+    )
+
+
+def cli_spec_args(spec: ExperimentSpec) -> list[str]:
+    return [
+        "--sizes", ",".join(map(str, spec.sizes)),
+        "--seeds", ",".join(map(str, spec.seeds)),
+    ]
 
 
 def small_spec(**overrides) -> ExperimentSpec:
@@ -811,6 +827,28 @@ class TestClaimTakeover:
         )
         assert manifest_mod.read_chunk_result(mdir, 0) == records
 
+    def test_status_reports_dethroned_late_write_as_in_flight(
+        self, tmp_path
+    ):
+        # Alice's late write is discarded by the claim loop, so the
+        # status tools must not count it as done: bob's chunk is
+        # still in flight (a drained-queue check must not pass).
+        spec = small_spec()
+        mdir, payload = manifest_mod.ensure_manifest(tmp_path, spec)
+        token_a = manifest_mod.claim_chunk(mdir, 0, "alice")
+        self._age(mdir, 0, seconds=60)
+        assert manifest_mod.steal_claim(mdir, 0, "bob", ttl=5)
+        manifest_mod.write_chunk_result(
+            mdir, 0, payload["spec_hash"],
+            [{"key": "k", "ok": True, "metrics": {}}], token=token_a,
+        )
+        status = manifest_mod.detailed_status(mdir, payload)
+        assert status["done"] == 0
+        assert [(c["chunk"], c["worker"]) for c in status["in_flight"]] == [
+            (0, "bob")
+        ]
+        assert manifest_mod.manifest_status(mdir, payload)["done"] == 0
+
     def test_tokenless_results_stay_valid(self, tmp_path):
         # Pre-takeover manifests (and engine-internal execution) write
         # results without tokens; they must never be invalidated.
@@ -901,6 +939,194 @@ class TestClaimTakeover:
             "--manifest-dir", "unused",
         ]) == 2
         assert "auto" in capsys.readouterr().out
+
+
+def _observe(run) -> tuple[list[int], dict[str, int]]:
+    """The ``BackendChunkClaimed`` chunk sequence and manifest chunk
+    counters of one ``run()``."""
+    events = ListProcessor()
+    reg = metrics_registry.Registry()
+    with attached(events), metrics_registry.attached(reg):
+        run()
+    return (
+        [e.chunk for e in events.of_type(BackendChunkClaimed)],
+        {
+            name: reg.counter(f"runner.manifest.chunks.{name}").value
+            for name in ("claimed", "stolen", "collected")
+        },
+    )
+
+
+class TestOneClaimLoop:
+    """``python -m repro worker`` and ``--backend manifest`` run the
+    same claim loop, so they agree on events, counters and errors."""
+
+    def _lay_out(self, root, spec, foreign_chunk):
+        """A chunk-size-1 manifest with one chunk already executed by
+        a foreign worker."""
+        from repro.explore.uxs import UXSProvider
+
+        mdir, payload = manifest_mod.ensure_manifest(
+            root, spec, chunk_size=1
+        )
+        token = manifest_mod.claim_chunk(mdir, foreign_chunk, "foreign")
+        records = manifest_mod.execute_chunk(
+            payload["spec_hash"], payload["chunks"][foreign_chunk],
+            {t.key: t for t in spec.trials()}, UXSProvider(),
+        )
+        manifest_mod.write_chunk_result(
+            mdir, foreign_chunk, payload["spec_hash"], records, token=token
+        )
+        return mdir
+
+    def test_worker_and_backend_emit_identical_streams(self, tmp_path):
+        spec = cli_spec()
+        self._lay_out(tmp_path / "w", spec, foreign_chunk=1)
+        self._lay_out(tmp_path / "e", spec, foreign_chunk=1)
+        worker = _observe(lambda: main([
+            "worker", *cli_spec_args(spec),
+            "--manifest-dir", str(tmp_path / "w"),
+            "--cache-dir", str(tmp_path / "w-store"), "--quiet",
+        ]))
+        engine = _observe(lambda: run_experiment(
+            spec, backend="manifest", store=tmp_path / "e",
+            backend_options={"chunk_size": 1, "timeout": 5.0},
+        ))
+        assert worker == engine
+        assert worker == (
+            [0, 2, 3], {"claimed": 3, "stolen": 0, "collected": 1}
+        )
+
+    def test_steal_worker_times_out_on_unstealable_claim(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A claim stamped by a clock far ahead of ours is never stale
+        # (the skew clamp), so a --steal worker can neither steal it
+        # nor see its result: it must give up with exit 1 once the
+        # idle timeout passes, not poll forever.
+        spec = cli_spec(sizes=(4,), seeds=(0,))
+        mdir, _ = manifest_mod.ensure_manifest(
+            tmp_path / "shared", spec, chunk_size=1
+        )
+        assert manifest_mod.claim_chunk(mdir, 0, "ahead")
+        claim_path = mdir / "claims" / "chunk-0000.claim"
+        future = claim_path.stat().st_mtime + 3600
+        os.utime(claim_path, (future, future))
+        idle = [0.0]
+
+        class IdleClock:
+            time = staticmethod(time.time)
+
+            @staticmethod
+            def monotonic():
+                return time.monotonic() + idle[0]
+
+            @staticmethod
+            def sleep(_seconds):
+                idle[0] += 120.0
+
+        monkeypatch.setattr(manifest_mod, "time", IdleClock)
+        assert main([
+            "worker", *cli_spec_args(spec),
+            "--manifest-dir", str(tmp_path / "shared"),
+            "--cache-dir", str(tmp_path / "store"),
+            "--steal", "--claim-ttl", "0", "--quiet",
+        ]) == 1
+        assert "made no progress" in capsys.readouterr().out
+        assert manifest_mod.read_claim(mdir, 0)["worker"] == "ahead"
+
+    @pytest.mark.parametrize("edit", ["rename", "drop"])
+    def test_stale_manifest_rejected_at_attach(
+        self, tmp_path, capsys, edit
+    ):
+        spec = cli_spec()
+        for root in (tmp_path / "w", tmp_path / "e"):
+            mdir, payload = manifest_mod.ensure_manifest(
+                root, spec, chunk_size=2
+            )
+            if edit == "rename":
+                payload["chunks"][0][0] += "-renamed"
+            else:
+                payload["chunks"][-1].pop()
+            (mdir / "manifest.json").write_text(json.dumps(payload))
+        assert main([
+            "worker", *cli_spec_args(spec),
+            "--manifest-dir", str(tmp_path / "w"),
+            "--cache-dir", str(tmp_path / "w-store"), "--quiet",
+        ]) == 2
+        assert "stale" in capsys.readouterr().out
+        with pytest.raises(manifest_mod.ManifestError, match="stale"):
+            run_experiment(
+                spec, backend="manifest", store=tmp_path / "e",
+                backend_options={"chunk_size": 2},
+            )
+        assert not list(tmp_path.rglob("*.claim"))
+
+
+def _worker_process(argv: list[str]) -> None:
+    sys.exit(main(argv))
+
+
+class TestClaimStress:
+    def test_concurrent_worker_processes_claim_each_chunk_once(
+        self, tmp_path
+    ):
+        from repro.metrics import snapshot as snapshot_mod
+        from repro.runner.backends.process import pool_context
+
+        spec = cli_spec(seeds=tuple(range(12)))
+        shared = tmp_path / "shared"
+        mp = pool_context()
+        procs = [
+            mp.Process(target=_worker_process, args=([
+                "worker", *cli_spec_args(spec),
+                "--manifest-dir", str(shared),
+                "--cache-dir", str(tmp_path / f"store-{i}"),
+                "--worker-id", f"w{i}", "--chunk-size", "1", "--quiet",
+                "--metrics", str(tmp_path / f"w{i}.json"),
+            ],))
+            for i in range(4)
+        ]
+        for proc in procs:
+            proc.start()
+        try:
+            for proc in procs:
+                proc.join(timeout=120)
+            assert [proc.exitcode for proc in procs] == [0] * 4
+        finally:
+            for proc in procs:
+                if proc.is_alive():
+                    proc.terminate()
+        mdir = manifest_mod.manifest_dir(shared, spec.spec_hash())
+        n_chunks = len(spec.trials())
+        assert n_chunks == 24
+        assert len(list((mdir / "results").iterdir())) == n_chunks
+        for chunk_id in range(n_chunks):
+            assert manifest_mod.read_chunk_result(mdir, chunk_id)
+            assert manifest_mod.read_claim(mdir, chunk_id)["generation"] == 0
+        snapshot, count = snapshot_mod.fold_sidecars([shared])
+        assert count == 4
+        assert sum(
+            row["value"] for row in snapshot["series"]
+            if row["name"] == "runner.manifest.chunks.claimed"
+        ) == n_chunks
+        assert main([
+            "merge", "--into", str(tmp_path / "merged"),
+            *(str(tmp_path / f"store-{i}") for i in range(4)),
+        ]) == 0
+        assert main([
+            "sweep", *cli_spec_args(spec), "--quiet",
+            "--cache-dir", str(tmp_path / "reference"),
+        ]) == 0
+        merged = {
+            p.relative_to(tmp_path / "merged"): p.read_bytes()
+            for p in sorted((tmp_path / "merged").rglob("*.json"))
+        }
+        reference = {
+            p.relative_to(tmp_path / "reference"): p.read_bytes()
+            for p in sorted((tmp_path / "reference").rglob("*.json"))
+        }
+        assert merged == reference and merged
 
 
 class TestChunkPlanning:

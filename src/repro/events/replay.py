@@ -100,11 +100,14 @@ def _expand_moves(payload) -> list[tuple]:
     if kind == "AgentMove":
         return [(payload["round"], payload["agent"], payload["src"], payload["dst"])]
     if kind == "WalkSegment":
+        # A round whose route repeats its node is a stall (a blocked
+        # edge, see EdgeBlocked): nothing moves, so nothing is drawn.
         rows = []
         base = payload["round"]
         for agent, route in zip(payload["walkers"], payload["routes"]):
             for j in range(payload["length"]):
-                rows.append((base + j, agent, route[j], route[j + 1]))
+                if route[j] != route[j + 1]:
+                    rows.append((base + j, agent, route[j], route[j + 1]))
         return rows
     return []
 

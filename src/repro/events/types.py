@@ -87,8 +87,11 @@ class WalkSegment(Event):
     """A batched multi-edge walk executed as a single scheduler event.
 
     ``round`` is the round of the segment's first edge; ``length`` is
-    the number of edges; ``walkers`` lists agent indices and ``routes``
+    the number of rounds; ``walkers`` lists agent indices and ``routes``
     carries one node route per walker (``length + 1`` nodes each).
+    Under edge dynamics a route may repeat its node: in that round the
+    walker's edge was blocked, and an :class:`EdgeBlocked` for it
+    follows the segment.  Otherwise rounds and edges are equal.
     ``observers`` lists co-walking agents in observe mode (vectorized
     planner only).  Per-edge ``AgentMove`` events are *not* emitted for
     segment edges — replay tooling expands routes instead, mirroring
@@ -134,7 +137,10 @@ class EdgeBlocked(Event):
     Agent ``agent`` tried to leave ``node`` through ``port``; the move
     cost the round but not the edge — the agent retries the same port
     in ``round + 1`` (possibly blocked again).  Emitted in the round's
-    move-application phase, before the closing :class:`RoundAdvance`.
+    move-application phase, before the closing :class:`RoundAdvance`;
+    a stall inside a walk segment is emitted right after its
+    :class:`WalkSegment` (before any walk-carried :class:`WatchFired`),
+    still ahead of its round's :class:`RoundAdvance`.
     """
 
     round: int

@@ -36,7 +36,8 @@ Semantics implemented (the documented contract of ``scheduler.py``):
 * a crash fault removes its agent at the start of the fault round
   (before wake-ups and resumes; occupancy gone from that round on);
 * a dynamics-blocked move costs the round but not the edge (one event
-  per retry round, no program re-entry);
+  per retry round, no program re-entry); ``edges_blocked`` counts
+  them, as the fast scheduler's does;
 * the graceful ``horizon`` finalizes all live agents undeclared when
   the next event would fall after it (``timed_out=True``).
 
@@ -180,6 +181,7 @@ class ReferenceSimulation:
         self._fault_i = 0
         self.last_change = [0] * graph.n
         self._events = 0
+        self.edges_blocked = 0
 
     # -- helpers -------------------------------------------------------
 
@@ -468,6 +470,7 @@ class ReferenceSimulation:
                     # observe) and retries the same port next round.
                     agent.state = "retry"
                     agent.retry_port = port
+                    self.edges_blocked += 1
                     continue
                 dst, entry = self.graph.neighbor(src, port)
                 agent.node = dst

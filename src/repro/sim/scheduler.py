@@ -32,7 +32,7 @@ log N edges), so deterministic walks get the same O(1) treatment as
 waits: a ``walk`` op carries a whole precomputed plan of exit ports,
 and the segment planner executes the longest prefix during which the
 per-step model could not have diverged as a *single* event.  Round
-semantics of a segment of ``m`` edges starting at round ``r``: the
+semantics of a segment of ``m`` rounds starting at round ``r``: the
 walker moves in rounds ``r .. r+m-1`` exactly as if it had issued
 ``m`` individual moves (occupancies are updated accordingly, and in
 trace mode the segment expands into per-edge ``move_log`` entries),
@@ -51,10 +51,18 @@ round where anything outside the cohort could act:
 * a walker's own watch fires on a computed CurCard (that edge is the
   segment's last);
 * a plan runs out, an absolute step is an invalid port, or the round /
-  event budget would be crossed mid-segment.
+  event budget or the graceful horizon would be crossed mid-segment.
+
+A dynamics-blocked edge does not cut a segment.  It is a *stall
+round* inside it: the walker's route repeats its node, it observes
+nothing, and it tries the same port again the next round — exactly
+the per-step retry.  A walker that stalls moves fewer edges than the
+segment has rounds, and no segment ends on a stall (the walker's
+next step there would be a retry, not a resume).
 
 The ``events`` counter stays bit-for-bit compatible with the per-step
-model: a segment of ``m`` edges counts ``m`` (virtual) resumes.
+model: a segment of ``m`` rounds counts ``m`` (virtual) resumes per
+member, which is also what a blocked move's retry rounds cost.
 
 ``last_change`` of the transited nodes is resolved on read, not per
 segment: only ``wait_stable`` reads it, so each segment appends its
@@ -66,7 +74,8 @@ Two planners exist — the scalar :meth:`Simulation._plan_segment` and
 the numpy-vectorized :func:`repro.sim.segments.plan_segment` — with one
 contract: both start from :meth:`Simulation._segment_horizon` and
 return a :class:`SegmentPlan` cut to the joint length, which one
-method, :meth:`Simulation._apply_segment`, commits.
+method, :meth:`Simulation._apply_segment`, commits.  Only the scalar
+planner runs on dynamic-edge runs, so only it plans stalls.
 
 Fault injection
 ---------------
@@ -130,6 +139,9 @@ _MAX_RESUMES_PER_ROUND = 100_000
 # once this many are pending, so runs without stability waits keep a
 # bounded log.
 _PENDING_SEGMENTS_CAP = 64
+
+# A segment bound no cap has lowered yet (see _segment_horizon).
+_UNBOUNDED = float("inf")
 
 
 class AgentSpec:
@@ -293,25 +305,41 @@ class SimulationResult:
         )
 
 
+def _arrivals(stalled: dict[int, int], m: int) -> list[int]:
+    """Route indices ``1 .. m`` at which a walker with these stalls arrives."""
+    return [t for t in range(1, m + 1) if t - 1 not in stalled]
+
+
 class SegmentPlan:
     """A planned walk segment, the one output of both segment planners.
 
     ``m`` is the segment length in rounds.  ``walkers[w]`` is ``(nodes,
     entries, degrees, curcards)`` for the w-th walker as plain Python
     lists cut to ``m``: ``nodes`` is the route ``[v_0 .. v_m]`` and the
-    other three describe the ``m`` arrivals.  ``observer_cards[o]`` is
-    the per-round CurCard trace of the o-th observer.  ``watch_fired``
-    marks a segment whose last edge fires a walk watch — the walk
-    helper will raise :class:`WatchTriggered` at the resume.
+    other three describe the walker's arrivals.  ``observer_cards[o]``
+    is the per-round CurCard trace of the o-th observer.
+    ``watch_fired`` marks a segment whose last edge fires a walk watch
+    — the walk helper will raise :class:`WatchTriggered` at the resume.
+
+    ``stalls`` is ``None`` when every walker moves in every round, so
+    each has ``m`` arrivals.  Otherwise ``stalls[w]`` maps each of the
+    w-th walker's blocked rounds, as an ``offset`` from the segment's
+    first round, to its ``port``: in round ``round_ + offset`` the
+    walker stays put (``nodes[offset + 1] == nodes[offset]``) and it
+    retries ``port`` the next round.  A stall
+    round has no arrival, and no walker stalls in the last round.
     """
 
-    __slots__ = ("m", "walkers", "observer_cards", "watch_fired")
+    __slots__ = ("m", "walkers", "observer_cards", "watch_fired", "stalls")
 
-    def __init__(self, m, walkers, observer_cards, watch_fired=False) -> None:
+    def __init__(
+        self, m, walkers, observer_cards, watch_fired=False, stalls=None
+    ) -> None:
         self.m = m
         self.walkers = walkers
         self.observer_cards = observer_cards
         self.watch_fired = watch_fired
+        self.stalls = stalls
 
 
 class Simulation:
@@ -622,6 +650,11 @@ class Simulation:
     @segment_edges.setter
     def segment_edges(self, value: int) -> None:
         self._c_segment_edges.value = value
+
+    @property
+    def edges_blocked(self) -> int:
+        """Moves the edge dynamics blocked, stalls inside segments included."""
+        return self._c_edges_blocked.value
 
     def result(self) -> SimulationResult:
         """The aggregate outcome; only valid once :attr:`finished`."""
@@ -1073,8 +1106,8 @@ class Simulation:
     def _resolve_planner(self) -> None:
         """Bind the segment planner: the vectorized one if numpy imports.
 
-        Dynamic-edge runs keep the scalar planner, which truncates
-        before any blocked edge: cached routes know nothing about
+        Dynamic-edge runs keep the scalar planner, which plans blocked
+        edges as stall rounds: cached routes know nothing about
         per-round edge liveness.
         """
         self._planner = Simulation._plan_segment
@@ -1127,17 +1160,22 @@ class Simulation:
         """Joint segment bound both planners start from, before routes.
 
         The shortest remaining plan or observation, capped by the next
-        live heap event, the round and event budgets and the next fault
-        round.  Returns 0 when a walker starts on a watched node: the
-        departure must notify the watchers through the ordinary
-        machinery.  A result below 2 means no segment.
+        live heap event, the round and event budgets, the graceful
+        horizon and the next fault round.  Under edge dynamics a plan
+        bounds edges, not rounds (a walker can stall), so the plans cap
+        the rounds only when nothing else does; the scalar planner ends
+        each route where its plan runs out.  Returns 0 when a walker
+        starts on a watched node: the departure must notify the
+        watchers through the ordinary machinery.  A result below 2
+        means no segment.
         """
-        # Hot on dynamic-edge runs (most calls return here with no
-        # segment), hence plain comparisons rather than min().
+        # Plain comparisons rather than min(): this runs in every
+        # round that issues a walk.
         bounds = [len(steps) - pos for _i, _h, steps, pos, _w in walks]
         if observes:
             bounds.extend(remaining for _i, remaining in observes)
-        m = min(bounds)
+        plan_m = min(bounds)
+        m = plan_m if self._dynamics is None else _UNBOUNDED
         head = self._live_head()
         if head is not None:
             gap = head - round_
@@ -1148,6 +1186,12 @@ class Simulation:
             # segment-end resume lands at max_round + 1 and the main
             # loop rejects it with the exact per-step message.
             gap = self.max_round - round_ + 1
+            if gap < m:
+                m = gap
+        if self.horizon is not None:
+            # Likewise: the segment-end resume lands past the horizon,
+            # where the main loop stops the run gracefully.
+            gap = self.horizon - round_ + 1
             if gap < m:
                 m = gap
         if self.max_events is not None:
@@ -1170,6 +1214,8 @@ class Simulation:
             fault = self._next_fault_round()
             if fault is not None and fault - round_ - 1 < m:
                 m = fault - round_ - 1
+        if m == _UNBOUNDED:
+            m = plan_m  # a stall-free bound: always safe, always finite
         if m < 2:
             return m
         watchers = self._watchers
@@ -1189,9 +1235,13 @@ class Simulation:
 
         The longest prefix the cohort can walk without possible
         divergence, as a :class:`SegmentPlan`, or ``None`` when no
-        segment of at least two edges is safe.  Plans walkers only:
+        segment of at least two rounds is safe.  Plans walkers only:
         a cohort with observers gets ``None``.  Used on dynamic-edge
-        runs and without numpy.  This is the hot loop of such runs, so
+        runs and without numpy.  Under edge dynamics a blocked edge is
+        a stall round of the plan, not a cut: the walker stays on its
+        node and retries the port the next round — no arrival record,
+        no watch check — while it still counts toward the CurCard of
+        walkers arriving there.  This is the hot loop of such runs, so
         it works on the graph's adjacency list directly and mutates
         ``_counts`` in place (walkers off their start nodes) for the
         duration of the planning.
@@ -1206,19 +1256,16 @@ class Simulation:
         dormant_at = self._dormant_at
         adj = self.graph._adj  # hot path: one indexing per step
         dyn = self._dynamics
-        if dyn is not None:
-            # A blocked head edge goes through the per-edge retry path.
-            for idx, head, _steps, _pos, _watch in walks:
-                if dyn.blocked(self._pos[idx], head, round_):
-                    return None
         # Walkers leave their start nodes in the first round; every
         # other agent (waiting, finished, dormant) is static for the
         # whole segment.  Taking the walkers out of ``_counts`` while
         # planning makes ``counts[v]`` the static occupancy directly
-        # (restored before returning).
+        # (restored before returning).  A walker stalled on its start
+        # node is counted through the cohort's routes instead.
         for idx, _head, _steps, _pos, _watch in walks:
             counts[self._pos[idx]] -= 1
         watch_fired = False
+        stalls: list[dict[int, int]] | None = None
         try:
             # Pass 1 — structural: simulate each route, truncating
             # before any node whose occupants the ordinary machinery
@@ -1228,14 +1275,28 @@ class Simulation:
             routes: list[list[int]] = []
             entries: list[list[int]] = []
             degrees: list[list[int]] = []
-            for idx, head, steps, pos, _watch in walks:
+            for w, (idx, head, steps, pos, _watch) in enumerate(walks):
                 node = self._pos[idx]
                 route = [node]
                 ents: list[int] = []
                 degs: list[int] = []
-                node, entry = adj[node][head]  # head validated by _resume
-                t = 0
+                ports = adj[node]
+                port = head  # validated by _resume
+                left = len(steps) - pos  # edges the plan still holds
+                t = 0  # rounds planned
+                e = 0  # edges moved
                 while True:
+                    if dyn is not None and dyn.blocked(node, port, round_ + t):
+                        # A stall round: stay, retry the port next round.
+                        if stalls is None:
+                            stalls = [{} for _ in walks]
+                        stalls[w][t] = port
+                        route.append(node)
+                        t += 1
+                        if t >= m:
+                            break
+                        continue
+                    node, entry = ports[port]
                     if watchers[node] or dormant_at[node]:
                         m = t  # stop before waking anyone
                         break
@@ -1245,9 +1306,13 @@ class Simulation:
                     degree = len(ports)
                     degs.append(degree)
                     t += 1
+                    e += 1
                     if t >= m:
                         break
-                    step = steps[pos + t]
+                    if e == left:
+                        m = t  # the plan ran out: stalls made m exceed it
+                        break
+                    step = steps[pos + e]
                     if step >= 0:
                         if step >= degree:
                             m = t  # invalid step ends the joint segment
@@ -1255,10 +1320,6 @@ class Simulation:
                         port = step
                     else:
                         port = (entry + ~step) % degree
-                    if dyn is not None and dyn.blocked(node, port, round_ + t):
-                        m = t  # stop before the blocked edge: the
-                        break  # walker retries it through _apply_moves
-                    node, entry = ports[port]
                 if m < 2:
                     return None
                 routes.append(route)
@@ -1272,19 +1333,23 @@ class Simulation:
             if len(walks) == 1:
                 route = routes[0]
                 watch = walks[0][4]
-                cards = [counts[route[t]] + 1 for t in range(1, m + 1)]
+                arrived = (
+                    range(1, m + 1) if stalls is None
+                    else _arrivals(stalls[0], m)
+                )
+                cards = [counts[route[t]] + 1 for t in arrived]
                 if watch is not None:
                     hit = _WATCH_PREDICATES[watch[0]]
                     value = watch[1]
                     hit1 = hit(1, value)
-                    for t, card in enumerate(cards):
+                    for k, card in enumerate(cards):
                         if hit1 if card == 1 else hit(card, value):
-                            m = t + 1  # the firing edge is the last
+                            m = arrived[k]  # the firing edge is the last
                             watch_fired = True
-                            del cards[m:]
+                            del cards[k + 1:]
                             break
                 curcards = [cards]
-            elif len(walks) == 2:
+            elif len(walks) == 2 and stalls is None:
                 # The dominant cohort: a pair — either a merged group
                 # touring in lockstep or two groups exploring in
                 # parallel.  No per-round allocation.
@@ -1334,6 +1399,10 @@ class Simulation:
                         break
                 curcards = [cards_a, cards_b]
             else:
+                # A larger cohort, or a pair with stalls: a stalled
+                # walker has no arrival in its stall rounds, but its
+                # route still counts in the round's occupancy.
+                skips = [()] * len(walks) if stalls is None else stalls
                 curcards = [[] for _ in walks]
                 for t in range(1, m + 1):
                     occ: dict[int, int] = {}
@@ -1343,6 +1412,8 @@ class Simulation:
                     for w, (_idx, _head, _steps, _pos, watch) in enumerate(
                         walks
                     ):
+                        if t - 1 in skips[w]:
+                            continue
                         v = routes[w][t]
                         card = counts[v] + occ[v]
                         curcards[w].append(card)
@@ -1351,17 +1422,36 @@ class Simulation:
                     if watch_fired:
                         m = t  # the firing edge is the segment's last
                         break
+            if stalls is not None:
+                # No walker stalls in the last round: its next step
+                # there is a retry, not a resume.  Ending earlier also
+                # drops a watch that fired on that round's arrival.
+                stalled = set().union(*stalls)
+                while m - 1 in stalled:
+                    m -= 1
+                    watch_fired = False
             if m < 2:
                 return None
         finally:
             for idx, _head, _steps, _pos, _watch in walks:
                 counts[self._pos[idx]] += 1
-        for route, ents, degs in zip(routes, entries, degrees):
+        for w, (route, ents, degs, cards) in enumerate(
+            zip(routes, entries, degrees, curcards)
+        ):
             del route[m + 1:]
-            del ents[m:]
-            del degs[m:]
+            arrivals = m
+            if stalls is not None:
+                kept = stalls[w] = {
+                    t: port for t, port in stalls[w].items() if t < m
+                }
+                arrivals -= len(kept)
+            del ents[arrivals:]
+            del degs[arrivals:]
+            del cards[arrivals:]
+        if stalls is not None and not any(stalls):
+            stalls = None
         walkers = list(zip(routes, entries, degrees, curcards))
-        return SegmentPlan(m, walkers, [], watch_fired)
+        return SegmentPlan(m, walkers, [], watch_fired, stalls)
 
     def _apply_segment(
         self,
@@ -1374,32 +1464,41 @@ class Simulation:
 
         Performs the per-step model's bookkeeping for the whole
         traversed prefix — occupancies, move counts, virtual ``events``,
-        (in trace mode) per-edge ``move_log`` entries, and a log entry
-        from which ``last_change`` is resolved on read — then schedules
-        each member's next resume at ``round_ + m`` with its per-edge
-        observation history attached.  An observer neither moves nor
-        changes any occupancy: it receives the per-round CurCard trace
-        of its node, exactly as ``m`` one-round observations would.
+        blocked moves, (in trace mode) per-edge ``move_log`` entries,
+        and a log entry from which ``last_change`` is resolved on read
+        — then schedules each member's next resume at ``round_ + m``
+        with its per-edge observation history attached.  A stall round
+        costs its walker an event like any other round (a retry does)
+        but adds no arrival.  An observer neither moves nor changes any
+        occupancy: it receives the per-round CurCard trace of its node,
+        exactly as ``m`` one-round observations would.
         """
         counts = self._counts
         m = plan.m
         end_round = round_ + m
         obs_rounds = range(round_ + 1, end_round + 1)
+        stalls = plan.stalls
         self._c_segments.value += 1
-        self._c_segment_edges.value += m * len(walks)
         if plan.watch_fired:
             # The segment's last edge fires a walk watch: the walk
             # helper raises WatchTriggered at the resume.
             self._c_watch_fires.value += 1
+        edges = 0
         for w, (idx, _head, _steps, _pos, _watch) in enumerate(walks):
             nodes, ents, degs, cards = plan.walkers[w]
             counts[nodes[0]] -= 1
             counts[nodes[m]] += 1
             self._pos[idx] = nodes[m]
-            self._entry_port[idx] = ents[m - 1]
-            self._outcomes[idx].moves += m
-            self._walk_trace[idx] = (obs_rounds, degs, ents, cards)
+            self._entry_port[idx] = ents[-1]
+            self._outcomes[idx].moves += len(ents)
+            edges += len(ents)
+            rounds = obs_rounds
+            if stalls is not None and stalls[w]:
+                rounds = [round_ + t for t in _arrivals(stalls[w], m)]
+                self._c_edges_blocked.value += len(stalls[w])
+            self._walk_trace[idx] = (rounds, degs, ents, cards)
             self._push(end_round, idx)
+        self._c_segment_edges.value += edges
         for o, (idx, _remaining) in enumerate(observes):
             cards = plan.observer_cards[o]
             degree = self.graph.degree(self._pos[idx])
@@ -1414,33 +1513,39 @@ class Simulation:
         if walks:  # observers alone change no occupancy
             self._log_segment(round_, m, routes)
             if self.trace:
-                self._trace_segment(walks, round_, m, routes)
+                self._trace_segment(walks, round_, m, routes, stalls)
         if self._emit is not None:
             self._emit_segment(
                 walks, round_, m,
                 [tuple(route) for route in routes],
-                [walker[3][m - 1] for walker in plan.walkers],
+                [walker[3][-1] for walker in plan.walkers],
                 tuple(idx for idx, _remaining in observes),
+                stalls,
             )
 
-    def _trace_segment(self, walks, round_, m, routes) -> None:
+    def _trace_segment(self, walks, round_, m, routes, stalls) -> None:
         """Expand a segment into per-edge ``move_log`` entries."""
         order = sorted(range(len(walks)), key=lambda w: walks[w][0])
+        skips = [()] * len(walks) if stalls is None else stalls
         for t in range(m):
             for w in order:
+                if t in skips[w]:
+                    continue  # a stall moves nothing
                 route = routes[w]
                 self.move_log.append(
                     (round_ + t, walks[w][0], route[t], route[t + 1])
                 )
 
     def _emit_segment(
-        self, walks, round_, m, routes, final_cards, observers
+        self, walks, round_, m, routes, final_cards, observers, stalls
     ) -> None:
-        """Emit one :class:`WalkSegment` (plus any firing walk watch).
+        """Emit one :class:`WalkSegment`, its stalls and any walk watch.
 
-        A walk watch that fires does so on the segment's last edge (the
-        planners truncate there); the walker observes it at the
-        segment-end resume, so the :class:`WatchFired` round is
+        Each stall round follows the segment as the
+        :class:`EdgeBlocked` the per-step retry would emit, in round
+        order.  A walk watch that fires does so on the segment's last
+        edge (the planners truncate there); the walker observes it at
+        the segment-end resume, so the :class:`WatchFired` round is
         ``round_ + m`` — exactly where :meth:`repro.sim.agent.Agent.walk`
         raises ``WatchTriggered`` when replaying the history.
         """
@@ -1452,6 +1557,16 @@ class Simulation:
             routes=tuple(routes),
             observers=observers,
         ))
+        if stalls is not None:
+            blocked = sorted(
+                (t, walks[w][0], routes[w][t], port)
+                for w, stalled in enumerate(stalls)
+                for t, port in stalled.items()
+            )
+            for t, idx, node, port in blocked:
+                emit.emit(_EvEdgeBlocked(
+                    round=round_ + t, agent=idx, node=node, port=port
+                ))
         for w, (idx, _head, _steps, _pos, watch) in enumerate(walks):
             if watch is not None and watch_hit(watch, final_cards[w]):
                 emit.emit(_EvWatchFired(

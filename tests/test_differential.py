@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.events import EventDispatcher, ListProcessor, WalkSegment
+from repro.events.types import EdgeBlocked
 from repro.graphs import (
     path_graph,
     random_regular,
@@ -173,11 +174,13 @@ def run_both(
     faults=None,
     dynamics=None,
     horizon=None,
+    events=None,
 ):
     """Run the same scenario on both schedulers (trace mode).
 
     ``dynamics`` is a factory ``graph -> EdgeDynamics`` so each
-    scheduler gets its own instance.  Returns ``(fast_sim,
+    scheduler gets its own instance; ``events`` is an event dispatcher
+    for the fast scheduler only.  Returns ``(fast_sim,
     fast_outcome), (ref_sim, ref_outcome)`` where each outcome is
     either a :class:`SimulationResult` or the raised exception.
     """
@@ -190,6 +193,7 @@ def run_both(
         faults=faults,
         dynamics=None if dynamics is None else dynamics(graph),
         horizon=horizon,
+        events=events,
     )
     try:
         fast_out = fast.run()
@@ -213,7 +217,8 @@ def run_both(
 
 
 def assert_equivalent(fast_pair, ref_pair):
-    """Byte-for-byte equality of results, events and move logs."""
+    """Byte-for-byte equality of results, events, blocked moves and
+    move logs."""
     fast, fast_out = fast_pair
     ref, ref_out = ref_pair
     if isinstance(fast_out, Exception) or isinstance(ref_out, Exception):
@@ -221,6 +226,7 @@ def assert_equivalent(fast_pair, ref_pair):
         assert str(fast_out) == str(ref_out)
         return
     assert fast_out.events == ref_out.events
+    assert fast.edges_blocked == ref.edges_blocked
     assert fast_out.final_round == ref_out.final_round
     assert fast_out.total_moves == ref_out.total_moves
     assert fast_out.crashed_labels == ref_out.crashed_labels
@@ -493,6 +499,18 @@ class TestWalkSegments(_PlannerChoice):
         self._later_walker_cut(
             second, [("wait", 30, None)], [0, 0, 0], [0, 3, 5]
         )
+
+    @pytest.mark.parametrize("graph_name", sorted(EXTENDED_GRAPHS))
+    @pytest.mark.parametrize("horizon", [3, 7, 20])
+    def test_segment_stops_at_the_horizon(self, graph_name, horizon):
+        """A walk longer than the graceful horizon ends where per-step
+        execution ends it: after the horizon round's move."""
+        graph = EXTENDED_GRAPHS[graph_name]
+        tour = tuple(covering_tour(graph))
+        scripts = [[("walk", tour * 6, None)], [("wait", 1000, None)]]
+        assert_equivalent(*run_both(
+            graph, scripts, [0, 0], horizon=horizon
+        ))
 
 
 class TestWalkSegmentsScalar(TestWalkSegments):
@@ -885,6 +903,119 @@ class TestFaultedDifferential:
         ))
 
 
+class _Stalls(EdgeDynamics):
+    """Blocks every edge leaving ``node`` in the rounds ``stalls[node]``
+    (any container of rounds; a ``range`` can block for good)."""
+
+    __slots__ = ("stalls",)
+
+    def __init__(self, graph, stalls) -> None:
+        super().__init__(graph)
+        self.stalls = stalls
+
+    def blocked_edge(self, round_: int) -> int:  # pragma: no cover
+        return -1
+
+    def blocked(self, node: int, port: int, round_: int) -> bool:
+        return round_ in self.stalls.get(node, ())
+
+
+class TestStallsInSegments:
+    """Blocked edges become stall rounds inside walk segments: the
+    walker stays put and retries its port, exactly as the per-step
+    retry does.  Ring ``0-1-2-3-4-5-0``; each scenario runs with
+    ``walk`` and with ``walk_cols``, and must match the reference."""
+
+    GRAPH = EXTENDED_GRAPHS["ring6"]
+
+    def run(self, kind, routes, after, wakes, starts, stalls, others,
+            horizon=None):
+        """The first agents walk ``routes`` (``(nodes, watch)`` pairs)
+        with ``kind`` and then run ``after``; the rest run the scripts
+        ``others``.  Returns the WalkSegments that stall."""
+        scripts = [
+            [(kind, ports_along(self.GRAPH, route), watch)] + after
+            for route, watch in routes
+        ] + others
+        collector = ListProcessor()
+        fast, ref = run_both(
+            self.GRAPH, scripts, wakes, starts,
+            dynamics=lambda g: _Stalls(g, stalls),
+            horizon=horizon, events=EventDispatcher([collector]),
+        )
+        assert_equivalent(fast, ref)
+        blocked = collector.of_type(EdgeBlocked)
+        assert len(blocked) == fast[0].edges_blocked > 0
+        return [
+            seg for seg in collector.of_type(WalkSegment)
+            if any(
+                route[t] == route[t + 1]
+                for route in seg.routes for t in range(seg.length)
+            )
+        ]
+
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    def test_stall_mid_segment(self, kind):
+        """Three rounds blocked at node 2 sit inside one segment; the
+        walker transits a plain waiter before and after."""
+        stalled = self.run(
+            kind, [([0, 1, 2, 3, 4, 5, 0, 1, 2], None)],
+            [("wait", 3, None)], [0, 0], [0, 3],
+            {2: range(2, 5)}, others=[[("wait", 60, None)]],
+        )
+        assert stalled and stalled[0].length == 11
+
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    def test_pair_meets_a_stalled_walker(self, kind):
+        """The pair's second walker is held on node 2 while the first
+        arrives there (CurCard 2 on arrival); both then leave
+        together."""
+        stalled = self.run(
+            kind,
+            [([0, 1, 2, 3, 4], ("gt", 2)), ([2, 3, 4, 5, 0], None)],
+            [("wait", 3, None)], [0, 0, 0], [0, 2, 5],
+            {2: range(0, 4)}, others=[[("wait", 60, None)]],
+        )
+        assert stalled and len(stalled[0].walkers) == 2
+
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    def test_stall_just_before_a_watched_node(self, kind):
+        """The walker is held on node 2, next to a watching waiter on
+        node 3: no segment may end on the stall, and none may enter
+        the watched node, so the wait runs through per-step retries."""
+        self.run(
+            kind, [([0, 1, 2, 3, 4, 5, 0], None)],
+            [("wait", 3, None)], [0, 0, 0], [0, 3, 5],
+            {2: range(2, 5)},
+            others=[[("wait", 100, ("gt", 1))], [("wait", 60, None)]],
+        )
+
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    def test_heap_event_due_mid_stall(self, kind):
+        """A waiter's move falls due while the walker is held on node
+        2: the segment holding the earlier stall on node 1 ends on the
+        last round the walker moved."""
+        stalled = self.run(
+            kind, [([0, 1, 2, 3, 4, 5, 0, 1], None)],
+            [("wait", 3, None)], [0, 0], [0, 4],
+            {1: {1}, 2: range(3, 9)},
+            others=[[("wait", 6, None), ("move", 0, None),
+                     ("wait", 30, None)]],
+        )
+        assert stalled and stalled[0].length == 3
+
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    def test_edge_blocked_for_good_under_a_horizon(self, kind):
+        """Node 2's edges never come back: the walker stalls there
+        until the graceful horizon ends the run."""
+        self.run(
+            kind, [([0, 1, 2, 3, 4, 5, 0], None)],
+            [("wait", 3, None)], [0, 0], [0, 4],
+            {1: {1}, 2: range(3, 10**9)},
+            others=[[("wait", 1000, None)]], horizon=30,
+        )
+
+
 class TestFaultedSearchTrial:
     """A whole ``gather_known`` trial on a dynamic ring agrees with the
     reference: the first trial of the seed-0 hill-climb search over
@@ -939,6 +1070,9 @@ class TestFaultedSearchTrial:
         fast_summary = summary(fast.run())
         assert fast_summary == summary(ref.run())
         assert fast_summary[:3] == (109248, 7332, 9491)
+        assert fast.edges_blocked == ref.edges_blocked == 1772
+        # Blocked edges stall inside segments instead of cutting them.
+        assert fast.segments <= 250
 
 
 class TestPlannerParity:

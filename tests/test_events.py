@@ -32,6 +32,7 @@ from repro.events import (
 )
 from repro.events import stream as event_stream
 from repro.events.processors import ConsoleProgressProcessor
+from repro.events.types import EdgeBlocked
 from repro.events.replay import extract_scenes, load_trace, round_trip
 from repro.events.schema import validate_payload, validate_trace
 from repro.graphs import ring
@@ -182,6 +183,53 @@ class TestMoveLogParity:
         # (round, agent) for a well-defined comparison.
         key = lambda row: (row[0], row[1])  # noqa: E731
         assert sorted(expanded, key=key) == sorted(sim.move_log, key=key)
+
+
+class TestStallEvents:
+    """Under ``ring-sweep`` dynamics blocked edges stall inside walk
+    segments: every stall is still an ``EdgeBlocked``, and replay draws
+    no move from a node to itself."""
+
+    def test_stalls_are_edge_blocked_and_replay_skips_them(self):
+        from repro.core.runs import prepare_gather_known
+        from repro.sim.faults import make_dynamics
+
+        def run():
+            graph = ring(5, seed=7)
+            prepared = prepare_gather_known(
+                graph, [3, 8], 6,
+                dynamics=make_dynamics("ring-sweep", graph),
+            )
+            prepared.simulation.run()
+            return prepared.simulation
+
+        sim, events = run_collected(run)
+        blocked = [e for e in events if isinstance(e, EdgeBlocked)]
+        assert len(blocked) == sim.edges_blocked > 0
+        committed = -1  # every EdgeBlocked precedes its round's commit
+        for event in events:
+            if isinstance(event, RoundAdvance):
+                committed = event.round
+            elif isinstance(event, EdgeBlocked):
+                assert event.round > committed
+        stalled = 0  # segments with stalls, each followed by its EdgeBlocked
+        for i, event in enumerate(events):
+            if isinstance(event, WalkSegment):
+                stalls = sum(
+                    route[t] == route[t + 1]
+                    for route in event.routes for t in range(event.length)
+                )
+                stalled += stalls > 0
+                after = events[i + 1:i + 1 + stalls]
+                assert all(isinstance(e, EdgeBlocked) for e in after)
+        assert stalled
+        (scene,) = extract_scenes(
+            [to_payload(e) for e in events], max_frames=10**9
+        )
+        assert scene["frames"]
+        assert all(
+            src != dst for f in scene["frames"] for _a, src, dst in f["moves"]
+        )
 
 
 class TestDispatcher:

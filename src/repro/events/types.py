@@ -92,7 +92,7 @@ class WalkSegment(Event):
     Under edge dynamics a route may repeat its node: in that round the
     walker's edge was blocked, and an :class:`EdgeBlocked` for it
     follows the segment.  Otherwise rounds and edges are equal.
-    ``observers`` lists co-walking agents in observe mode (vectorized
+    ``observers`` lists co-walking agents in observe mode (static-edge
     planner only).  Per-edge ``AgentMove`` events are *not* emitted for
     segment edges — replay tooling expands routes instead, mirroring
     how trace mode expands ``move_log``.

@@ -70,10 +70,11 @@ routes to a short log, and the log is folded in (with the per-round
 rule of single moves) when a stability wait asks or when the log
 reaches a fixed length.
 
-Two planners exist — the scalar :meth:`Simulation._plan_segment` and
-the numpy-vectorized :func:`repro.sim.segments.plan_segment` — with one
-contract: both start from :meth:`Simulation._segment_horizon` and
-return a :class:`SegmentPlan` cut to the joint length, which one
+Two planners exist — :func:`repro.sim.segments.plan_segment`, which
+computes CurCards by exception on cached routes and plans every
+static-edge run, and the scalar :meth:`Simulation._plan_segment` —
+with one contract: both start from :meth:`Simulation._segment_horizon`
+and return a :class:`SegmentPlan` cut to the joint length, which one
 method, :meth:`Simulation._apply_segment`, commits.  Only the scalar
 planner runs on dynamic-edge runs, so only it plans stalls.
 
@@ -316,8 +317,10 @@ class SegmentPlan:
     ``m`` is the segment length in rounds.  ``walkers[w]`` is ``(nodes,
     entries, degrees, curcards)`` for the w-th walker as plain Python
     lists cut to ``m``: ``nodes`` is the route ``[v_0 .. v_m]`` and the
-    other three describe the walker's arrivals.  ``observer_cards[o]``
-    is the per-round CurCard trace of the o-th observer.
+    other three describe the walker's arrivals.  Walkers in one
+    identical state may share these lists, so they are read-only.
+    ``observer_cards[o]`` is the per-round CurCard trace of the o-th
+    observer.
     ``watch_fired`` marks a segment whose last edge fires a walk watch
     — the walk helper will raise :class:`WatchTriggered` at the resume.
 
@@ -491,9 +494,9 @@ class Simulation:
         self._c_watch_fires = _metrics_registry.Counter()
         self._mx = _metrics_registry.current()
         self._metrics_flushed = False
-        # Segment planner (and, for the vectorized one, the graph's
-        # shared route cache), bound on the first walk round: walk-free
-        # runs never import numpy or build a cache.
+        # Segment planner (and, on static edges, the graph's shared
+        # route cache), bound on the first walk round: walk-free runs
+        # never import the planner module or build a cache.
         self.route_cache = None
         self._planner = None
 
@@ -1104,7 +1107,7 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def _resolve_planner(self) -> None:
-        """Bind the segment planner: the vectorized one if numpy imports.
+        """Bind the segment planner: the cached-route one on static edges.
 
         Dynamic-edge runs keep the scalar planner, which plans blocked
         edges as stall rounds: cached routes know nothing about
@@ -1115,9 +1118,8 @@ class Simulation:
             return
         from . import segments
 
-        if segments.HAVE_NUMPY:
-            self.route_cache = segments.route_cache_for(self.graph)
-            self._planner = segments.plan_segment
+        self.route_cache = segments.route_cache_for(self.graph)
+        self._planner = segments.plan_segment
 
     def _exec_walks(
         self,
@@ -1237,7 +1239,7 @@ class Simulation:
         divergence, as a :class:`SegmentPlan`, or ``None`` when no
         segment of at least two rounds is safe.  Plans walkers only:
         a cohort with observers gets ``None``.  Used on dynamic-edge
-        runs and without numpy.  Under edge dynamics a blocked edge is
+        runs (only it plans stalls).  Under edge dynamics a blocked edge is
         a stall round of the plan, not a cut: the walker stays on its
         node and retries the port the next round — no arrival record,
         no watch check — while it still counts toward the CurCard of

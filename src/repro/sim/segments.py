@@ -1,98 +1,81 @@
-"""The numpy-vectorized segment planner and its route cache.
+"""The segment planner of static-edge runs, and its route cache.
 
 One of the two segment planners :class:`repro.sim.scheduler.Simulation`
 binds; the other is the scalar ``Simulation._plan_segment``, which
-runs on dynamic-edge runs and without numpy.  Both share one contract:
-``(sim, walks, observes, round_) -> SegmentPlan | None``, starting from
-the same ``Simulation._segment_horizon`` bound and returning a
-:class:`~repro.sim.scheduler.SegmentPlan` whose per-walker lists are
-cut to the final joint length ``m``.  One scheduler method,
-``Simulation._apply_segment``, commits either planner's plan, and the
-differential suite holds both to :mod:`repro.sim.reference`.
+runs on dynamic-edge runs because only it plans stalls.  Both share
+one contract: ``(sim, walks, observes, round_) -> SegmentPlan | None``,
+starting from the same ``Simulation._segment_horizon`` bound and
+returning a :class:`~repro.sim.scheduler.SegmentPlan` whose
+per-walker lists are cut to the final joint length ``m``.  One
+scheduler method, ``Simulation._apply_segment``, commits either
+planner's plan, and the differential suite holds both to
+:mod:`repro.sim.reference`.
 
-The scalar planner re-chases every walk route step by step in Python
-on every segment.  Routes, however, are pure functions of ``(graph,
-plan, position in plan, node, exit port)`` — so a :class:`RouteCache`
-chases each distinct start state once and keeps the chase's nodes and
-exit ports.  The continuation from any state along a chase is a suffix
-of it: a lookup finds the chase that passed through the state and
-serves numpy array views of its tail.  Truncation bounds, exact
-per-arrival CurCards and watch evaluation (:func:`plan_segment`) are
-then vector operations over those views.
-Cached routes know nothing about per-round edge liveness, which is
-why dynamic-edge runs keep the scalar planner.  ``last_change`` is not
-the planner's concern: the scheduler logs the routes of every
-segment and resolves them only when a stability wait reads a node.
-This planner also understands stationary ``observe`` cohort members
-(see :mod:`repro.sim.ops`), which is what lets ``StarCheck``'s
-waiters share a segment with the dancing agent; the scalar planner
-declines cohorts with observers.
+Routes are pure functions of ``(graph, plan, position in plan, node,
+exit port)``, so a :class:`RouteCache` chases each distinct start
+state once and keeps the :class:`Chase` as Python lists.  The
+continuation from any state along a chase is a suffix of it: a lookup
+returns the chase that passed through the state and the state's
+offset in it, and a planned route is a list slice of the chase.
+
+:func:`plan_segment` computes CurCards by exception.  In the weak
+model an agent observes only the number of agents at its node, and
+along a segment that number is the walking group's size at every
+arrival (walkers in one identical state share one route), except
+where the route meets a standing agent or another group.  Standing
+agents are found by bisecting each chase's per-node visit index;
+meetings of two groups by comparing their route slices.  Walk watches
+are evaluated at the group's size and at the exception rounds only,
+so a plan costs its interactions and a few list slices, not a Python
+step per edge.  Cached routes know nothing about per-round edge
+liveness, which is why stalls need the scalar planner.
+``last_change`` is not the planner's concern: the scheduler logs the
+routes of every segment and resolves them only when a stability wait
+reads a node.  This planner also understands stationary ``observe``
+cohort members (see :mod:`repro.sim.ops`), which is what lets
+``StarCheck``'s waiters share a segment with the dancing agent; the
+scalar planner declines cohorts with observers.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is optional
-    np = None  # type: ignore[assignment]
+from itertools import compress
+from operator import eq
 
 from ..graphs.port_graph import PortGraph
+from .ops import _WATCH_PREDICATES
 from .scheduler import SegmentPlan, Simulation
 
-HAVE_NUMPY = np is not None
+_NO_VISITS: list[int] = []
 
 
 # ----------------------------------------------------------------------
 # Route cache: chased walk routes keyed by plan identity.
 # ----------------------------------------------------------------------
 
-class _PlanRoutes:
-    """Chased routes of one walk plan on one graph.
+class Chase:
+    """One chased route of a walk plan, as parallel Python lists.
 
-    A walk's future is a pure function of its *state* ``(position in
-    plan, node, exit port)``: the exit port determines the next edge,
-    the traversed edge determines the entry port, and every later step
-    resolves from entry ports alone.  Each chase keeps its start
-    position, its node list and its exit-port list, so a walk resuming
-    anywhere along a previously chased route is found by a scan of the
-    plan's chases and served as array views of that chase.
+    ``nodes[j]`` is the node at plan position ``pos + j`` and
+    ``ports[j]`` the exit port taken there; ``entries[j]`` and
+    ``degrees[j]`` describe the arrival at ``nodes[j + 1]``.  The route
+    ends at the plan's end or just before the first invalid absolute
+    step, exactly like the scalar planner's walk-out, so ``ports``,
+    ``entries`` and ``degrees`` hold one item per edge.
     """
 
-    __slots__ = ("steps", "_chases")
+    __slots__ = ("pos", "nodes", "ports", "entries", "degrees", "_visits")
 
-    def __init__(self, steps: tuple[int, ...]) -> None:
-        # Strong reference: keeps id(steps) valid for the cache key.
-        self.steps = steps
-        # (start position, nodes, exit ports, (nodes, entries, degrees)
-        # arrays), in insertion order.
-        self._chases: list[tuple] = []
-
-    def route(self, graph: PortGraph, pos: int, node: int, port: int):
-        """Arrays ``(nodes, entries, degrees)`` of the remaining route.
-
-        ``nodes`` has the start node at index 0; ``entries[j]`` /
-        ``degrees[j]`` describe the arrival at ``nodes[j + 1]``.  The
-        route ends at the plan's end or just before the first invalid
-        absolute step, exactly like the scalar planner's walk-out.
-        """
-        # A state reached by two chases has identical continuations
-        # (the walk is deterministic), so the first chase in insertion
-        # order serves it.
-        for pos0, nodes, ports, arrays in self._chases:
-            off = pos - pos0
-            if 0 <= off < len(ports) and nodes[off] == node \
-                    and ports[off] == port:
-                break
-        else:
-            arrays = self._chase(graph, pos, node, port)
-            off = 0
-        nodes_a, ents_a, degs_a = arrays
-        return nodes_a[off:], ents_a[off:], degs_a[off:]
-
-    def _chase(self, graph: PortGraph, pos: int, node: int, port: int):
-        steps = self.steps
+    def __init__(
+        self,
+        graph: PortGraph,
+        steps: tuple[int, ...],
+        pos: int,
+        node: int,
+        port: int,
+    ) -> None:
         adj = graph._adj
         total = len(steps)
         nodes = [node]
@@ -117,13 +100,63 @@ class _PlanRoutes:
             else:
                 port = (entry + ~step) % degree
             ports.append(port)
-        arrays = (
-            np.asarray(nodes, dtype=np.int64),
-            np.asarray(ents, dtype=np.int64),
-            np.asarray(degs, dtype=np.int64),
-        )
-        self._chases.append((pos, nodes, ports, arrays))
-        return arrays
+        self.pos = pos
+        self.nodes = nodes
+        self.ports = ports
+        self.entries = ents
+        self.degrees = degs
+        self._visits: dict[int, list[int]] | None = None
+
+    def visits(self, node: int) -> list[int]:
+        """Ascending positions ``j`` with ``nodes[j] == node``.
+
+        The index covers every node and is built the first time a plan
+        asks; plans that meet no one never pay for it.
+        """
+        index = self._visits
+        if index is None:
+            index = self._visits = {}
+            for j, v in enumerate(self.nodes):
+                at = index.get(v)
+                if at is None:
+                    index[v] = [j]
+                else:
+                    at.append(j)
+        return index.get(node, _NO_VISITS)
+
+
+class _PlanRoutes:
+    """Chased routes of one walk plan on one graph.
+
+    A walk's future is a pure function of its *state* ``(position in
+    plan, node, exit port)``: the exit port determines the next edge,
+    the traversed edge determines the entry port, and every later step
+    resolves from entry ports alone.  A walk resuming anywhere along a
+    previously chased route is found by a scan of the plan's chases.
+    """
+
+    __slots__ = ("steps", "_chases")
+
+    def __init__(self, steps: tuple[int, ...]) -> None:
+        # Strong reference: keeps id(steps) valid for the cache key.
+        self.steps = steps
+        self._chases: list[Chase] = []  # in insertion order
+
+    def lookup(
+        self, graph: PortGraph, pos: int, node: int, port: int
+    ) -> tuple[Chase, int]:
+        """The chase through state ``(pos, node, port)`` and its offset."""
+        # A state reached by two chases has identical continuations
+        # (the walk is deterministic), so the first chase in insertion
+        # order serves it.
+        for chase in self._chases:
+            off = pos - chase.pos
+            if 0 <= off < len(chase.ports) and chase.nodes[off] == node \
+                    and chase.ports[off] == port:
+                return chase, off
+        chase = Chase(graph, self.steps, pos, node, port)
+        self._chases.append(chase)
+        return chase, 0
 
 
 class RouteCache:
@@ -142,7 +175,11 @@ class RouteCache:
         self.graph = graph
         self._plans: OrderedDict[int, _PlanRoutes] = OrderedDict()
 
-    def route(self, steps: tuple[int, ...], pos: int, node: int, port: int):
+    def lookup(
+        self, steps: tuple[int, ...], pos: int, node: int, port: int
+    ) -> tuple[Chase, int]:
+        """``(chase, offset)``: the walk from this state is the chase's
+        suffix from ``offset`` on."""
         key = id(steps)
         pr = self._plans.get(key)
         if pr is None or pr.steps is not steps:
@@ -152,7 +189,7 @@ class RouteCache:
                 self._plans.popitem(last=False)
         else:
             self._plans.move_to_end(key)
-        return pr.route(self.graph, pos, node, port)
+        return pr.lookup(self.graph, pos, node, port)
 
 
 # Shared per-graph caches: trials executed on the same graph object
@@ -178,8 +215,37 @@ def route_cache_for(graph: PortGraph) -> RouteCache:
 
 
 # ----------------------------------------------------------------------
-# Vectorized joint segment planning.
+# Joint segment planning by exception.
 # ----------------------------------------------------------------------
+
+def _visits_within(chase: Chase, node: int, off: int, m: int) -> list[int]:
+    """Arrival indices ``i`` (arrival ``i + 1`` of a walk at ``off``)
+    at which the first ``m`` arrivals reach ``node``."""
+    at = chase.visits(node)
+    lo = bisect_right(at, off)
+    hi = bisect_right(at, off + m, lo)
+    start = off + 1
+    return [p - start for p in at[lo:hi]]
+
+
+def _first_fire(watch, k: int, extra: dict[int, int], m: int) -> int:
+    """First arrival index below ``m`` whose CurCard fires ``watch``
+    (``m`` when none does): CurCard is ``k`` except at ``extra``."""
+    hit = _WATCH_PREDICATES[watch[0]]
+    value = watch[1]
+    if hit(k, value):
+        # Fires at the first arrival that is no exception, unless an
+        # exception before it fires or every arrival is one.
+        i = 0
+        while i in extra and not hit(k + extra[i], value):
+            i += 1
+        return i
+    first = m
+    for i, more in extra.items():
+        if i < first and hit(k + more, value):
+            first = i
+    return first
+
 
 def plan_segment(
     sim: Simulation,
@@ -187,126 +253,133 @@ def plan_segment(
     observes: list[tuple[int, int]],
     round_: int,
 ) -> SegmentPlan | None:
-    """Vectorized twin of ``Simulation._plan_segment``.
+    """Static-edge twin of ``Simulation._plan_segment``.
 
     Same contract, same truncation rules (documented in
     ``scheduler.py``), plus stationary observers: the longest joint
     prefix during which the per-step model could not have diverged, or
-    ``None`` when no segment of at least two rounds is safe.  All
-    truncation bounds are order-independent minima, so per-walker
-    bounds are intersected instead of re-scanned sequentially.
+    ``None`` when no segment of at least two rounds is safe.  Every
+    truncation bound is an order-independent minimum, taken over the
+    groups of walkers that share a state instead of over walkers.
     """
     m = sim._segment_horizon(walks, observes, round_)
     if m < 2:
         return None
     pos_of = sim._pos
-    watchers = sim._watchers
-    n = sim.graph.n
-    cache = sim.route_cache
-    # Structural pass: cached routes; a route ending early (plan end
-    # was already bounded above, so this is an invalid absolute step)
+    counts = sim._counts
+    lookup = sim.route_cache.lookup
+    # Groups: walkers in one state ``(plan, position, node, exit port)``
+    # walk one route in lockstep.  A route ending early (the plan end
+    # was already bounded, so this is an invalid absolute step)
     # truncates the joint segment.
-    routes = []
-    for idx, head, steps, pos, _w in walks:
-        nodes, ents, degs = cache.route(steps, pos, pos_of[idx], head)
-        avail = len(ents)
-        if avail < m:
-            m = avail
-        routes.append((nodes, ents, degs))
+    group_of: dict[tuple, int] = {}
+    member_group: list[int] = []
+    chases: list[Chase] = []
+    offs: list[int] = []
+    sizes: list[int] = []
+    watches: list[set] = []
+    leaving: dict[int, int] = {}
+    for idx, head, steps, pos, watch in walks:
+        node = pos_of[idx]
+        leaving[node] = leaving.get(node, 0) + 1
+        state = (id(steps), pos, node, head)
+        g = group_of.get(state)
+        if g is None:
+            g = group_of[state] = len(chases)
+            chase, off = lookup(steps, pos, node, head)
+            avail = len(chase.entries) - off
+            if avail < m:
+                m = avail
+            chases.append(chase)
+            offs.append(off)
+            sizes.append(1)
+            watches.append(set())
+        else:
+            sizes[g] += 1
+        if watch is not None:
+            watches[g].add(watch)
+        member_group.append(g)
     if m < 2:
         return None
-    dormant_at = sim._dormant_at
-    blocked = [v for v in range(n) if watchers[v] or dormant_at[v]]
-    if blocked and routes:
-        mask = np.zeros(n, dtype=bool)
-        mask[blocked] = True
-        for nodes, _e, _d in routes:
-            hits = mask[nodes[1:m + 1]]
-            if hits.any():
-                t = int(hits.argmax())  # stop before waking anyone
-                if t < m:
-                    m = t
-                    if m < 2:
-                        return None
-    # Card pass: statics are _counts minus the walkers (observers are
-    # static and stay in); cohort co-location comes from the occupancy
-    # matrix.  Exact per-arrival CurCards, truncated at the first
-    # firing walk watch (that edge is the segment's last).
-    counts_np = np.array(sim._counts, dtype=np.int64)
-    W = len(walks)
-    nodes_matrix = None
-    body = None
-    cards = None
-    occ = None
+    groups = range(len(chases))
+    # Only nodes holding an agent can wake anyone or add to a CurCard:
+    # a watched or dormant-occupied node cuts the segment before its
+    # first arrival; any other node adds its static occupancy
+    # (``_counts`` minus the walkers; observers are static and stay in).
+    occupied: list[tuple[int, int]] = []
+    if chases:
+        watchers = sim._watchers
+        dormant_at = sim._dormant_at
+        for v in set(pos_of):
+            if watchers[v] or dormant_at[v]:
+                for g in groups:
+                    at = chases[g].visits(v)
+                    i = bisect_right(at, offs[g])
+                    if i < len(at) and at[i] - offs[g] - 1 < m:
+                        m = at[i] - offs[g] - 1  # stop before waking anyone
+            else:
+                static = counts[v] - leaving.get(v, 0)
+                if static:
+                    occupied.append((v, static))
+        if m < 2:
+            return None
+    # Exceptions: per group, arrival index -> agents beyond the group.
+    extras: list[dict[int, int]] = []
+    for g in groups:
+        extra: dict[int, int] = {}
+        for v, static in occupied:
+            for i in _visits_within(chases[g], v, offs[g], m):
+                extra[i] = static
+        extras.append(extra)
+    if len(chases) > 1:
+        # Meetings of two groups: the one step linear in the segment.
+        arrivals = [
+            chases[g].nodes[offs[g] + 1:offs[g] + m + 1] for g in groups
+        ]
+        for g in groups:
+            for h in range(g + 1, len(chases)):
+                extra_g, extra_h = extras[g], extras[h]
+                k_g, k_h = sizes[g], sizes[h]
+                for i in compress(range(m), map(eq, arrivals[g], arrivals[h])):
+                    extra_g[i] = extra_g.get(i, 0) + k_h
+                    extra_h[i] = extra_h.get(i, 0) + k_g
+    # The first firing walk watch ends the segment on its edge.
     watch_fired = False
-    if W:
-        for i, _h, _s, _p, _w in walks:
-            counts_np[pos_of[i]] -= 1
-        nodes_matrix = np.empty((W, m + 1), dtype=np.int64)
-        for w, (nodes, _e, _d) in enumerate(routes):
-            nodes_matrix[w] = nodes[:m + 1]
-        body = nodes_matrix[:, 1:]
-        if W == 1:
-            cards = counts_np[body] + 1
-        elif W == 2:
-            # Pair cohort: co-location is a single equality row, no
-            # occupancy matrix needed.
-            together = body[0] == body[1]
-            cards = counts_np[body] + 1
-            cards[0] += together
-            cards[1] += together
-        else:
-            cols = np.arange(m)
-            occ = np.zeros((n, m), dtype=np.int64)
-            np.add.at(occ, (body, cols), 1)
-            cards = counts_np[body] + occ[body, cols]
-        fired = None
-        for w, (_i, _h, _s, _p, watch) in enumerate(walks):
-            if watch is None:
-                continue
-            kind, value = watch
-            row = cards[w]
-            if kind == "gt":
-                f = row > value
-            elif kind == "ne":
-                f = row != value
-            elif kind == "eq":
-                f = row == value
-            else:  # "lt"
-                f = row < value
-            fired = f if fired is None else (fired | f)
-        if fired is not None and fired.any():
-            watch_fired = True
-            m = int(fired.argmax()) + 1  # the firing edge is the last
-            if m < 2:
-                return None
-            nodes_matrix = nodes_matrix[:, :m + 1]
-            body = nodes_matrix[:, 1:]
-            if occ is not None:
-                occ = occ[:, :m]
-            cards = cards[:, :m]
-    observer_cards: list[list[int]] = []
-    if observes:
-        obs_nodes = np.array([pos_of[i] for i, _r in observes],
-                             dtype=np.int64)
-        base = counts_np[obs_nodes][:, None]
-        if not W:
-            ocards = np.broadcast_to(base, (len(observes), m))
-        elif occ is not None:
-            ocards = base + occ[obs_nodes]
-        else:
-            # W <= 2: per-round co-walker occupancy of each observer's
-            # node is a direct equality test against the routes.
-            ocards = base + (body[0] == obs_nodes[:, None])
-            if W == 2:
-                ocards = ocards + (body[1] == obs_nodes[:, None])
-        observer_cards = [row.tolist() for row in ocards]
+    fire = m
+    for g in groups:
+        for watch in watches[g]:
+            i = _first_fire(watch, sizes[g], extras[g], fire)
+            if i < fire:
+                fire = i
+    if fire < m:
+        watch_fired = True
+        m = fire + 1  # the firing edge is the last
+        if m < 2:
+            return None
     walkers = []
-    for w, (nodes, ents, degs) in enumerate(routes):
+    for g in groups:
+        cards = [sizes[g]] * m
+        for i, more in extras[g].items():
+            if i < m:
+                cards[i] += more
+        chase = chases[g]
+        off = offs[g]
+        end = off + m
         walkers.append((
-            nodes[:m + 1].tolist(),
-            ents[:m].tolist(),
-            degs[:m].tolist(),
-            cards[w].tolist(),
+            chase.nodes[off:end + 1],
+            chase.entries[off:end],
+            chase.degrees[off:end],
+            cards,
         ))
-    return SegmentPlan(m, walkers, observer_cards, watch_fired)
+    observer_cards: list[list[int]] = []
+    for idx, _remaining in observes:
+        u = pos_of[idx]
+        row = [counts[u] - leaving.get(u, 0)] * m
+        for g in groups:
+            for i in _visits_within(chases[g], u, offs[g], m):
+                row[i] += sizes[g]
+        observer_cards.append(row)
+    # Members of one group share its read-only slices.
+    return SegmentPlan(
+        m, [walkers[g] for g in member_group], observer_cards, watch_fired
+    )

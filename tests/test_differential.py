@@ -15,10 +15,10 @@ ring, a torus and random regular graphs (acceptance bar: >= 200),
 each mixing walk plans (rule and absolute steps), dormant agents woken
 mid-plan, and watches firing mid-segment.
 
-Both segment planners are held to the oracle in every environment:
-the walk-segment, seeded and lazy-``last_change`` classes run with the
-vectorized planner (skipped without numpy), and their ``...Scalar``
-subclasses rerun every test with the scalar planner forced.
+Both segment planners are held to the oracle: the walk-segment,
+seeded and lazy-``last_change`` classes run with the planner that
+static-edge runs bind, and their ``...Scalar`` subclasses rerun every
+test with the scalar planner forced.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from repro.runner.trial import (
     resolve_scenario,
 )
 from repro.sim import AgentSpec, Simulation, WatchTriggered
-from repro.sim import segments as segments_mod
 from repro.sim.agent import (
     move,
     observe,
@@ -244,22 +243,27 @@ def assert_equivalent(fast_pair, ref_pair):
     assert fast.move_log == ref.move_log
 
 
+def _bind_scalar_planner(sim):
+    """Stand-in for ``Simulation._resolve_planner``: the scalar planner
+    on every run, static edges included."""
+    sim._planner = Simulation._plan_segment
+
+
+def force_scalar_planner(monkeypatch):
+    """Make every ``Simulation`` built from now on plan with the scalar
+    planner (it binds its planner on the first walk round)."""
+    monkeypatch.setattr(Simulation, "_resolve_planner", _bind_scalar_planner)
+
+
 class _PlannerChoice:
-    """Runs a class's tests with one segment planner.
+    """Runs a class's tests with one segment planner."""
 
-    ``Simulation`` reads ``segments.HAVE_NUMPY`` when it binds its
-    planner (on the first walk round), so patching the flag forces
-    the scalar planner even where numpy imports.
-    """
-
-    planner = "vector"
+    planner = "static"
 
     @pytest.fixture(autouse=True)
     def _force_planner(self, monkeypatch):
         if self.planner == "scalar":
-            monkeypatch.setattr(segments_mod, "HAVE_NUMPY", False)
-        elif not segments_mod.HAVE_NUMPY:
-            pytest.skip("the vectorized planner needs numpy")
+            force_scalar_planner(monkeypatch)
 
 
 class TestHandPickedScenarios:
@@ -739,6 +743,172 @@ class TestLazyLastChangeScalar(TestLazyLastChange):
     planner = "scalar"
 
 
+class TestCurCardsByException(_PlannerChoice):
+    """Scenarios aimed at the static-edge planner's rules: a group of
+    walkers in one state sees its own size at every arrival, except
+    where it meets a standing agent, another group or an observer's
+    node.  On ring ``0-1-...-7-0`` the group gathers on node 1 in round
+    0 and walks from round 1 with one shared plan object; every
+    scenario runs with ``walk`` and with ``walk_cols``."""
+
+    GRAPH = ring(8)
+
+    def group(self, kind, size, route, watch=None, *extra):
+        """Scripts of ``size`` walkers (starting on nodes ``1, 0, 2``)
+        that meet on node 1, then walk ``route`` (a node sequence, or a
+        plan) together, and their start nodes."""
+        plan = route if isinstance(route, tuple) else \
+            ports_along(self.GRAPH, route)
+        walk_op = (kind, plan, watch) + extra
+        firsts = [
+            ("wait", 1, None),
+            ("move", ports_along(self.GRAPH, [0, 1])[0], None),
+            ("move", ports_along(self.GRAPH, [2, 1])[0], None),
+        ]
+        scripts = [[first, walk_op, ("wait", 5, None)]
+                   for first in firsts[:size]]
+        return scripts, [1, 0, 2][:size]
+
+    def run(self, scripts, starts, wakes=None):
+        if wakes is None:
+            wakes = [0] * len(scripts)
+        fast, ref = run_both(self.GRAPH, scripts, wakes, starts)
+        assert_equivalent(fast, ref)
+        return fast[0]
+
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_standing_agent_passed_twice(self, kind, size):
+        """A plain waiter on node 4 adds itself to the group's CurCard
+        on both passes, and observes nothing."""
+        scripts, starts = self.group(
+            kind, size, [1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5]
+        )
+        sim = self.run(scripts + [[("wait", 60, None)]], starts + [4])
+        assert sim.segments >= 1
+
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_dormant_agent_mid_route(self, kind, size):
+        """The segment ends before the dormant agent's node, so the
+        arrival wakes it at per-step timing."""
+        scripts, starts = self.group(kind, size, [1, 2, 3, 4, 5, 6])
+        dormant = [("wait", 3, None), ("move", 0, None), ("wait", 20, None)]
+        self.run(scripts + [dormant], starts + [4], [0] * size + [None])
+
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("watch", [None, ("gt", 3), ("lt", 4)])
+    def test_three_identical_walkers_meet_a_fourth(self, kind, watch):
+        """A group of three meets a lone walker on three successive
+        arrivals (CurCard 4); its watch fires at the first meeting, or
+        on its own size at the first arrival."""
+        scripts, starts = self.group(kind, 3, [1, 2, 3, 4, 5], watch)
+        lone = [
+            ("wait", 1, None),
+            (kind, ports_along(self.GRAPH, [5, 4, 3, 4, 5]), None),
+            ("wait", 5, None),
+        ]
+        self.run(scripts + [lone], starts + [5])
+
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_observer_passed_twice(self, kind, size):
+        """An observer on node 3 sees the group arrive twice and leave
+        in between."""
+        scripts, starts = self.group(
+            kind, size, [1, 2, 3, 4, 3, 2, 1, 0]
+        )
+        observer = [("wait", 1, None), ("observe", 10), ("wait", 3, None)]
+        self.run(scripts + [observer], starts + [3])
+
+    # Watches that hold on the group's own size: they fire on the
+    # first arrival, so no segment of two rounds is safe.
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("size, watch", [
+        (1, ("gt", 0)), (1, ("ne", 2)), (1, ("eq", 1)), (1, ("lt", 2)),
+        (2, ("gt", 1)), (2, ("ne", 1)), (2, ("eq", 2)), (2, ("lt", 3)),
+    ])
+    def test_watch_fires_on_the_group_size(self, kind, size, watch):
+        scripts, starts = self.group(kind, size, [1, 2, 3, 4, 5], watch)
+        sim = self.run(scripts + [[("wait", 40, None)]], starts + [6])
+        assert sim.segments == 0
+
+    # A plain waiter on the first arrival's node changes the verdict
+    # there: it cancels a watch that holds on the group's size (which
+    # then fires on the second arrival), or it fires a ``gt`` watch.
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("size, watch", [
+        (1, ("ne", 2)), (1, ("eq", 1)), (1, ("lt", 2)),
+        (2, ("ne", 3)), (2, ("eq", 2)), (2, ("lt", 3)),
+        (2, ("gt", 2)),
+    ])
+    def test_standing_agent_changes_the_watch_verdict(
+        self, kind, size, watch
+    ):
+        scripts, starts = self.group(kind, size, [1, 2, 3, 4, 5], watch)
+        sim = self.run(scripts + [[("wait", 40, None)]], starts + [2])
+        assert sim.segments == (watch[0] != "gt")
+
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_route_cut_by_an_invalid_absolute_step(self, kind, size):
+        """Port 2 does not exist on a ring: ``walk`` stops quietly
+        before it, ``walk_cols`` is rejected like a bad ``move``."""
+        plan = ports_along(self.GRAPH, [1, 2, 3, 4]) + (2, 0)
+        extra = (True,) if kind == "walk" else ()
+        scripts, starts = self.group(kind, size, plan, None, *extra)
+        self.run(scripts + [[("wait", 30, None)]], starts + [6])
+
+
+    # Walkers group only on an identical state ``(plan, position in
+    # plan, node, exit port)``.  On a star (center 0, leaves 1-4) two
+    # walkers of one plan object stand on the center in round 1 and
+    # differ in one part of the state only; their routes part.
+    STAR = star_graph(5)
+
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    def test_same_plan_and_position_other_exit_port(self, kind):
+        """Entered from leaves 1 and 3, the rule step ``~1`` sends the
+        two walkers on to leaves 2 and 4 (where a waiter stands)."""
+        plan = (0, ~1, 0, ~1, 0, ~1, 0)
+        walker = [(kind, plan, None), ("wait", 5, None)]
+        scripts = [walker, walker, [("wait", 1, None), ("wait", 40, None)]]
+        fast, ref = run_both(self.STAR, scripts, [0, 0, 0], [1, 3, 4])
+        assert_equivalent(fast, ref)
+        assert fast[0].segments >= 1
+
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    def test_same_plan_and_exit_port_other_position(self, kind):
+        """One walker starts the plan on the center while the other,
+        one step in, is back there: both take port 0 next, then part."""
+        plan = (0, 0, ~1, 0, ~1, 0, ~1)
+        scripts = [
+            [("wait", 1, None), (kind, plan, None), ("wait", 5, None)],
+            [(kind, plan, None), ("wait", 5, None)],
+        ]
+        fast, ref = run_both(self.STAR, scripts, [0, 0], [0, 1])
+        assert_equivalent(fast, ref)
+        assert fast[0].segments >= 1
+
+    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    def test_same_position_and_exit_port_other_plan(self, kind):
+        """Entered from leaves 1 and 2, ``~1`` and ``~0`` both send the
+        walkers to leaf 2; back on the center, their plans part."""
+        scripts = [
+            [(kind, (0, ~1, 0, ~1, 0), None), ("wait", 5, None)],
+            [(kind, (0, ~0, 0, ~2, 0), None), ("wait", 5, None)],
+            [("wait", 1, None), ("wait", 40, None)],
+        ]
+        fast, ref = run_both(self.STAR, scripts, [0, 0, 0], [1, 2, 3])
+        assert_equivalent(fast, ref)
+        assert fast[0].segments >= 1
+
+class TestCurCardsByExceptionScalar(TestCurCardsByException):
+    """The CurCard scenarios with the scalar planner forced."""
+
+    planner = "scalar"
+
+
 class _AllBlockedRound(EdgeDynamics):
     """Blocks *every* edge during one specific round (and nothing
     else): the harshest liveness round a dynamics adversary can deal,
@@ -1082,7 +1252,7 @@ class TestPlannerParity:
 
     def run_observed(self, planner, monkeypatch):
         if planner == "scalar":
-            monkeypatch.setattr(segments_mod, "HAVE_NUMPY", False)
+            force_scalar_planner(monkeypatch)
         graph = ring(8)
         scripts = [
             [("walk_cols", ports_along(graph, [0, 1, 0, 7, 0, 1]), None)],
@@ -1099,11 +1269,9 @@ class TestPlannerParity:
         return segments, reg.counter("sim.watch.fires").value
 
     def test_walk_segments_and_watch_fires_match(self, monkeypatch):
-        if not segments_mod.HAVE_NUMPY:
-            pytest.skip("the vectorized planner needs numpy")
-        vector = self.run_observed("vector", monkeypatch)
+        static = self.run_observed("static", monkeypatch)
         scalar = self.run_observed("scalar", monkeypatch)
-        assert scalar == vector
+        assert scalar == static
         segments, watch_fires = scalar
         assert segments[0].length == 2
         assert all(

@@ -1,8 +1,9 @@
-"""The vectorized planner's route cache (:mod:`repro.sim.segments`).
+"""The static-edge planner's route cache (:mod:`repro.sim.segments`).
 
 Chased routes must equal an independent per-edge replay, suffixes of
-one chase must be served without re-chasing, and plans are keyed by
-tuple identity.  Serving suffixes must not change what a trial
+one chase must be served without re-chasing, plans are keyed by tuple
+identity, and a chase's visit index must list exactly the positions
+of each node.  Serving suffixes must not change what a trial
 simulates: event, segment and chase counts are pinned.  The planner's
 byte-identity with per-step execution is checked by the differential
 suite against :mod:`repro.sim.reference`.
@@ -10,11 +11,13 @@ suite against :mod:`repro.sim.reference`.
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
-
-pytest.importorskip("numpy")
 
 from repro.baselines.talking import run_talking_gather
 from repro.core.runs import run_gather_known
@@ -55,6 +58,13 @@ def naive_chase(graph, steps, pos, node, port):
     return nodes, ents, degs
 
 
+def route(cache, steps, pos, node, port):
+    """The remaining route of a walk as ``(nodes, entries, degrees)``
+    lists: the suffix of the chase a lookup returns."""
+    chase, off = cache.lookup(steps, pos, node, port)
+    return chase.nodes[off:], chase.entries[off:], chase.degrees[off:]
+
+
 class TestRouteCache:
     @pytest.mark.parametrize("graph_name", GRAPH_NAMES)
     def test_routes_match_naive_chase(self, graph_name):
@@ -71,25 +81,26 @@ class TestRouteCache:
             port = steps[0] if steps[0] >= 0 else ~steps[0]
             if port >= graph.degree(node):
                 continue
-            nodes, ents, degs = cache.route(steps, 0, node, port)
-            exp = naive_chase(graph, steps, 0, node, port)
-            assert (nodes.tolist(), ents.tolist(), degs.tolist()) == exp
+            got = route(cache, steps, 0, node, port)
+            assert got == naive_chase(graph, steps, 0, node, port)
 
     def test_suffix_states_share_one_chase(self):
         graph = ring(6)
         cache = RouteCache(graph)
         steps = (0, ~1, ~1, ~1)
-        nodes, ents, degs = cache.route(steps, 0, 0, 0)
+        nodes, ents, degs = route(cache, steps, 0, 0, 0)
         assert len(nodes) == 5
         (pr,) = cache._plans.values()
         assert len(pr._chases) == 1
         # Resuming mid-plan is a suffix of the same chase: no re-chase,
-        # and the suffix view matches the full route's tail.  The exit
-        # port at position 2 follows the ~1 rule from the entry port.
-        port2 = (int(ents[1]) + 1) % int(degs[1])
-        nodes2, _, _ = cache.route(steps, 2, int(nodes[2]), port2)
+        # and the lookup's offset lands on the full route's tail.  The
+        # exit port at position 2 follows the ~1 rule from the entry
+        # port.
+        port2 = (ents[1] + 1) % degs[1]
+        chase, off = cache.lookup(steps, 2, nodes[2], port2)
         assert len(pr._chases) == 1
-        assert nodes2.tolist() == nodes.tolist()[2:]
+        assert (chase, off) == (pr._chases[0], 2)
+        assert chase.nodes[off:] == nodes[2:]
 
     def test_keyed_by_plan_identity_not_equality(self):
         graph = ring(6)
@@ -98,22 +109,36 @@ class TestRouteCache:
         # into one interned tuple object.
         a = tuple([0, 0])
         b = tuple([0, 0])
-        cache.route(a, 0, 0, 0)
-        cache.route(b, 0, 0, 0)
+        cache.lookup(a, 0, 0, 0)
+        cache.lookup(b, 0, 0, 0)
         assert len(cache._plans) == 2
 
     def test_invalid_absolute_step_ends_route(self):
         graph = ring(6)
         cache = RouteCache(graph)
         steps = (0, 5, 0)  # port 5 does not exist on a ring node
-        nodes, ents, _ = cache.route(steps, 0, 0, 0)
+        nodes, ents, degs = route(cache, steps, 0, 0, 0)
         assert len(nodes) == 2
-        assert len(ents) == 1
+        assert len(ents) == len(degs) == 1
 
     def test_shared_graph_cache_is_per_object(self):
         g = ring(6)
         assert route_cache_for(g) is route_cache_for(g)
         assert route_cache_for(g) is not route_cache_for(ring(6))
+
+    @pytest.mark.parametrize("graph_name", GRAPH_NAMES)
+    def test_visit_index_lists_every_position(self, graph_name):
+        """``visits(v)`` is the ascending list of positions where the
+        chase is at ``v``, for every node (empty when it never is)."""
+        graph = GRAPHS[graph_name]
+        rng = random.Random(f"visits/{graph_name}")
+        steps = tuple(~rng.randrange(3) for _ in range(40))
+        chase, off = RouteCache(graph).lookup(steps, 0, 0, ~steps[0])
+        assert off == 0
+        for v in range(graph.n):
+            assert chase.visits(v) == [
+                j for j, node in enumerate(chase.nodes) if node == v
+            ]
 
 
 def converging_chases(graph, length=6):
@@ -142,42 +167,41 @@ class TestRouteLookup:
         shared = (3, self.graph.neighbor(a2, 0)[0], 0)  # on both routes
         for first, second in ((a, b), (b, a)):
             cache = RouteCache(self.graph)
-            nodes_first, _, _ = cache.route(steps, *first)
-            nodes_second, _, _ = cache.route(steps, *second)
+            chase_first, _ = cache.lookup(steps, *first)
+            chase_second, _ = cache.lookup(steps, *second)
             (pr,) = cache._plans.values()
             assert len(pr._chases) == 2
-            nodes, ents, degs = cache.route(steps, *shared)
+            chase, off = cache.lookup(steps, *shared)
             assert len(pr._chases) == 2
-            assert nodes.base is nodes_first.base
-            assert nodes.base is not nodes_second.base
-            exp = naive_chase(self.graph, steps, *shared)
-            assert (nodes.tolist(), ents.tolist(), degs.tolist()) == exp
+            assert chase is chase_first
+            assert chase is not chase_second
+            assert off == shared[0] - chase.pos
+            assert route(cache, steps, *shared) == \
+                naive_chase(self.graph, steps, *shared)
 
     def test_same_position_and_node_with_other_port_chases_anew(self):
         steps, a, _b, a2 = converging_chases(self.graph)
         cache = RouteCache(self.graph)
-        cache.route(steps, *a)
+        cache.lookup(steps, *a)
         (pr,) = cache._plans.values()
-        nodes, ents, degs = cache.route(steps, 2, a2, 1)
+        got = route(cache, steps, 2, a2, 1)
         assert len(pr._chases) == 2
-        assert (nodes.tolist(), ents.tolist(), degs.tolist()) == \
-            naive_chase(self.graph, steps, 2, a2, 1)
+        assert got == naive_chase(self.graph, steps, 2, a2, 1)
 
     def test_lookup_outside_a_chase_misses(self):
         graph = ring(6)
         cache = RouteCache(graph)
         steps = (0, 0, 0, 5, 0, 0)  # port 5 ends the route at position 3
-        nodes, _, _ = cache.route(steps, 1, 0, 0)
+        nodes, _, _ = route(cache, steps, 1, 0, 0)
         assert len(nodes) == 3  # two edges: positions 1 and 2
         (pr,) = cache._plans.values()
         # Position 3 is one past the chase's last edge, although the
         # chase did arrive at nodes[2]; position 0 is before its start.
-        for pos, node in ((3, int(nodes[2])), (0, int(nodes[0]))):
+        for pos, node in ((3, nodes[2]), (0, nodes[0])):
             before = len(pr._chases)
-            got, ents, degs = cache.route(steps, pos, node, 0)
+            got = route(cache, steps, pos, node, 0)
             assert len(pr._chases) == before + 1
-            assert (got.tolist(), ents.tolist(), degs.tolist()) == \
-                naive_chase(graph, steps, pos, node, 0)
+            assert got == naive_chase(graph, steps, pos, node, 0)
 
 
 def trial_counts(run, graph):
@@ -215,3 +239,35 @@ class TestCountsStayExact:
             ring(10, seed=2),
         )
         assert counts == (69634, 153, 69004, 6)
+
+
+GUARD = """
+import sys
+
+from repro.runner import ExperimentSpec, run_experiment
+
+for algorithm in ("gather_known", "talking"):
+    result = run_experiment(
+        ExperimentSpec(
+            algorithm=algorithm, family="ring", sizes=(6,),
+            label_sets=((1, 2),), seeds=(0,),
+        ),
+        backend="serial",
+    )
+    assert result.records and not result.failed, result.records
+assert "repro.sim.segments" in sys.modules, "no segment was planned"
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_trials_never_import_numpy():
+    """A fresh process that imports the engine and runs a silent and a
+    talking trial, walk segments included, loads no numpy module."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

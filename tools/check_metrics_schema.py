@@ -20,9 +20,11 @@ malformed invocation.
 from __future__ import annotations
 
 import json
+import pathlib
 import sys
 
-sys.path.insert(0, "src")
+# The checkout's sources, from any working directory.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.metrics.registry import (  # noqa: E402
     SCHEMA_NAME,

@@ -19,9 +19,11 @@ malformed invocation.
 from __future__ import annotations
 
 import json
+import pathlib
 import sys
 
-sys.path.insert(0, "src")
+# The checkout's sources, from any working directory.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.events.replay import load_trace, round_trip  # noqa: E402
 from repro.events.schema import describe, validate_trace  # noqa: E402

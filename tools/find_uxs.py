@@ -17,9 +17,11 @@ Deterministic: re-running reproduces the same sequences.
 
 from __future__ import annotations
 
+import pathlib
 import sys
 
-sys.path.insert(0, "src")
+# The checkout's sources, from any working directory.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.explore.uxs import (  # noqa: E402
     generate_sequence,

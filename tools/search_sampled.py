@@ -5,9 +5,11 @@ certification that tests/test_uxs.py::TestSampledCertification applies:
 all standard family graphs of sizes 2..n plus 25 random connected
 graphs of size n.  Mirrors tools/find_uxs.py but for the sampled tier.
 """
+import pathlib
 import sys
 
-sys.path.insert(0, "src")
+# The checkout's sources, from any working directory.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.explore.uxs import generate_sequence, is_universal_for  # noqa: E402
 from repro.graphs import family_for_size, random_connected_graph  # noqa: E402

@@ -21,7 +21,11 @@ organised as:
 
 Every routine below is a line-by-line translation of the corresponding
 algorithm; the big waits are exact big-integer rounds, executable
-thanks to the event-compressed clock.
+thanks to the event-compressed clock.  The slowed-down walks of the
+ball traversal and the unwind are ``paced_walk`` ops — by definition
+"wait the slowdown, then take the port" per edge — so the scheduler
+can advance every agent's slow walk jointly between interactions
+instead of resuming each agent twice per edge.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from ..sim.agent import (
     AgentContext,
     WatchTriggered,
     declare,
-    move,
     observe,
+    paced_walk,
     wait,
     walk,
 )
@@ -58,27 +62,25 @@ def ball_traversal(ctx: AgentContext, sched: UnknownBoundSchedule, h: int):
     slowdown wait before every edge traversal.  Returns ``False`` as
     soon as a node of degree >= ``n_h`` is seen (then phi_h is
     certainly wrong and the agent skips the main part).
+
+    Each word and its backtrack are one ``paced_walk`` each, which is
+    exactly Algorithm 7's per-edge loop: before every edge, return
+    ``False`` if the degree is at least ``n_h``, abort the word if the
+    port does not exist, else wait ``slow`` rounds and take the port.
+    The forward walk stops before the first edge either check refuses;
+    after it, a degree of at least ``n_h`` returns ``False`` (with no
+    backtrack), and otherwise the entered ports are retraced.
     """
     n_h = sched.n(h)
     length = sched.ball_length(h)
     slow = sched.slowdown(h)
     for word in iter_all_walks(length, n_h - 1):
-        entries: list[int] = []
-        aborted = False
-        for port in word:
-            if ctx.degree() >= n_h:
-                return False
-            if port >= ctx.degree():
-                aborted = True
-                break
-            yield from wait(ctx, slow)
-            obs = yield from move(ctx, port)
-            entries.append(obs.entry_port)
-        if not aborted and ctx.degree() >= n_h:
+        entries = yield from paced_walk(
+            ctx, word, slow, stop_before_invalid=True, stop_degree=n_h
+        )
+        if ctx.degree() >= n_h:
             return False
-        for back in reversed(entries):
-            yield from wait(ctx, slow)
-            yield from move(ctx, back)
+        yield from paced_walk(ctx, reversed(entries), slow)
     return True
 
 
@@ -247,10 +249,7 @@ def hypothesis(ctx: AgentContext, sched: UnknownBoundSchedule, h: int):
         return True
     # Second part (lines 16-22): retrace every entered port in reverse,
     # each move behind a slowdown wait, then pad to exactly T_h.
-    slow = sched.slowdown(h)
-    for port in reversed(entries):
-        yield from wait(ctx, slow)
-        yield from move(ctx, port)
+    yield from paced_walk(ctx, reversed(entries), sched.slowdown(h))
     spent = ctx.obs.round - start
     target = sched.t_hyp(h)
     if spent > target:

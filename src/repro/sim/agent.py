@@ -26,6 +26,7 @@ from .ops import (
     MOVE,
     OBSERVE,
     Observation,
+    PACED,
     resolve_walk_step,
     WAIT,
     WAIT_STABLE,
@@ -257,6 +258,62 @@ def walk_cols(
         if watch is not None and watch_hit(watch, obs.curcard):
             raise WatchTriggered(obs)
     return ents, degs, cards
+
+
+def paced_walk(
+    ctx: AgentContext,
+    steps,
+    pace: int,
+    *,
+    stop_before_invalid: bool = False,
+    stop_degree: int | None = None,
+) -> AgentGen:
+    """Walk a plan with a wait of ``pace`` rounds before every edge.
+
+    By definition this is ``for each step: wait(ctx, pace); move(ctx,
+    port)`` — same rounds, events (a wait-expiry resume and an arrival
+    resume per edge; just the arrival when ``pace <= 0``), failures
+    and ``ctx.entries_log`` — issued as ``paced`` ops, so the scheduler
+    can run many edges, of many paced walkers, per event.  ``steps``
+    is a walk plan (see :mod:`repro.sim.ops`).
+
+    Before each edge the walk ends quietly when the current node's
+    degree is at least ``stop_degree``, or, with
+    ``stop_before_invalid``, when the step is not a valid port;
+    without it, an invalid step waits and is then rejected like a bad
+    :func:`move`.  Both checks run before anything is yielded, so a
+    walk that stops before its first edge costs no round.  Returns the
+    entry ports of the edges crossed.
+    """
+    steps = tuple(steps)
+    pace = pace if pace > 0 else 0
+    entries: list[int] = []
+    entry: int | None = None  # UXS rule state along the walk
+    plan = None
+    i = 0
+    total = len(steps)
+    while i < total:
+        degree = ctx.degree()
+        if stop_degree is not None and degree >= stop_degree:
+            break
+        port = resolve_walk_step(steps[i], entry, degree)
+        if port < 0 or port >= degree:
+            if stop_before_invalid:
+                break
+            yield from wait(ctx, pace)
+            yield from move(ctx, port)  # the scheduler rejects the port
+        if plan is None:
+            # Interned, so the route cache serves a repeated plan.
+            plan = intern_plan(steps)
+        obs = yield (PACED, port, plan, i, pace, stop_degree)
+        ctx.obs = obs
+        crossed = obs.entries
+        entries.extend(crossed)
+        if ctx.entries_log is not None:
+            ctx.entries_log.extend(crossed)
+        entry = crossed[-1]
+        i += len(crossed)
+    return entries
 
 
 def observe(ctx: AgentContext, rounds: int) -> AgentGen:

@@ -14,6 +14,17 @@ scheduler resumes them with :class:`Observation` objects.  A multi-round
 rounds, which is what makes the doubly-exponential waiting periods of
 ``GatherUnknownUpperBound`` executable (see DESIGN.md Section 4).
 
+Ops
+---
+* ``move`` — take one port (one round);
+* ``walk`` — a multi-edge walk plan, one round per edge;
+* ``paced`` — a walk plan with a wait of ``pace`` rounds before every
+  edge (the slowed-down walks of ``GatherUnknownUpperBound``);
+* ``wait`` — stay for a number of rounds, optionally watched;
+* ``wait_stable`` — stay until CurCard has been stable for a window;
+* ``observe`` — stay and read CurCard every round;
+* ``declare`` — terminate with a payload.
+
 Watches
 -------
 Interruptible blocks ("interrupt as soon as CurCard > c") are expressed
@@ -48,6 +59,18 @@ DECLARE = "declare"
 # scheduler may deliver any prefix of the requested rounds; the agent
 # helper re-issues the op with the rest, like ``walk``.
 OBSERVE = "observe"
+# ``(PACED, port, steps, pos, pace, stop_degree)`` — a *paced walk*:
+# by definition ``for each step: wait pace rounds; take the step's
+# port``, from plan position ``pos`` on (``port`` is that step,
+# already resolved).  Emitted by :func:`repro.sim.agent.paced_walk`.
+# The scheduler executes the steps without re-entering the generator
+# and resumes it with a :class:`PacedObservation` at the arrival after
+# which the plan ends, the next absolute step is an invalid port, or
+# the node's degree is at least ``stop_degree`` (``None``: never).
+# Paced walkers read only entry ports and degrees, never CurCard, so
+# on static edges the scheduler advances all of them jointly between
+# interactions (see ``scheduler.py``).
+PACED = "paced"
 
 Watch = tuple[str, int]
 
@@ -212,6 +235,28 @@ class WalkObservation(Observation):
         if rows is None:
             rows = self._walked = list(zip(*self.walked_cols))
         return rows
+
+
+class PacedObservation(Observation):
+    """Observation delivered when a paced walk op ends.
+
+    The inherited fields describe the final arrival, exactly as the
+    per-step ``move`` would have observed it; ``entries`` holds the
+    entry port of every edge the op crossed, in order.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(
+        self,
+        round: int,
+        degree: int,
+        entry_port: int | None,
+        curcard: int,
+        entries: list[int],
+    ) -> None:
+        super().__init__(round, degree, entry_port, curcard, False)
+        self.entries = entries
 
 
 class SimulationError(RuntimeError):

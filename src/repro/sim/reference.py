@@ -39,10 +39,20 @@ Semantics implemented (the documented contract of ``scheduler.py``):
   per retry round, no program re-entry); ``edges_blocked`` counts
   them, as the fast scheduler's does;
 * the graceful ``horizon`` finalizes all live agents undeclared when
-  the next event would fall after it (``timed_out=True``).
+  the next event would fall after it (``timed_out=True``);
+* a ``paced`` walk op runs one round at a time: the agent waits
+  ``pace`` rounds, then moves, and at each arrival either waits for
+  the next edge or, where the op ends, resumes its program — the
+  wait expiry and the arrival each cost an event, without
+  re-entering the program, like a retry.
 
-Being O(rounds), the reference is only usable where clocks stay small;
-the differential suite keeps waits and walks short.
+Rounds in which nothing can happen are skipped (:meth:`_next_round`):
+with ``idle_jump`` the clock goes from a round in which no agent
+moved straight to the earliest wait expiry, stability completion,
+wake, fault or retry, so the oracle also runs the unknown-size
+algorithms, whose waits are astronomically long, in time
+proportional to their event rounds.  ``oracle_rounds`` bounds the
+rounds actually processed.
 """
 
 from __future__ import annotations
@@ -58,10 +68,13 @@ from .ops import (
     MOVE,
     OBSERVE,
     Observation,
+    PACED,
+    PacedObservation,
     SimulationError,
     WAIT,
     WAIT_STABLE,
     WALK,
+    resolve_walk_step,
     watch_hit,
 )
 from .scheduler import AgentOutcome, AgentSpec, SimulationResult
@@ -86,6 +99,7 @@ class _RefAgent:
         "stable_window",
         "entry_port",
         "retry_port",
+        "paced",
         "outcome",
     )
 
@@ -110,6 +124,9 @@ class _RefAgent:
         self.stable_window: int | None = None
         self.entry_port: int | None = None
         self.retry_port: int | None = None
+        # A paced walk op in flight: [steps, pos, pace, stop_degree,
+        # port, entries], ``pos`` being the edge crossed or waited for.
+        self.paced: list | None = None
         self.outcome = AgentOutcome(label, node)
 
 
@@ -119,11 +136,15 @@ class ReferenceSimulation:
     Parameters mirror :class:`~repro.sim.scheduler.Simulation` —
     ``faults``, ``dynamics`` and the graceful ``horizon`` included, so
     the differential suite covers faulted runs bit for bit.
-    ``oracle_rounds`` bounds the number of simulated rounds (a safety
+    ``oracle_rounds`` bounds the number of processed rounds (a safety
     rail for the oracle itself, raised as :class:`SimulationError`,
     distinct from both the model's ``max_round`` budget and the
-    graceful ``horizon``).
+    graceful ``horizon``).  Set ``idle_jump`` false on a subclass to
+    process every round, as the differential suite does to check the
+    jump itself.
     """
+
+    idle_jump = True
 
     def __init__(
         self,
@@ -194,16 +215,29 @@ class ReferenceSimulation:
             if a.node == node and not a.outcome.crashed
         )
 
-    def _obs(self, agent: _RefAgent, round_: int, triggered: bool) -> Observation:
-        obs = Observation(
+    def _obs(
+        self, agent: _RefAgent, round_: int, triggered: bool, entries=None
+    ) -> Observation:
+        seen = (
             round_,
             self.graph.degree(agent.node),
             agent.entry_port,
             self._count(agent.node),
-            triggered,
         )
+        if entries is None:
+            obs = Observation(*seen, triggered)
+        else:  # the end of a paced walk op
+            obs = PacedObservation(*seen, entries)
         agent.entry_port = None
         return obs
+
+    def _charge(self, round_: int) -> None:
+        """Count one resume against the event budget."""
+        self._events += 1
+        if self.max_events is not None and self._events > self.max_events:
+            raise BudgetExceededError(
+                f"event budget exceeded at round {round_}"
+            )
 
     def _start(self, agent: _RefAgent, round_: int) -> None:
         agent.ctx = AgentContext(agent.label)
@@ -225,15 +259,16 @@ class ReferenceSimulation:
         out.declared = declared
 
     def _advance(
-        self, agent: _RefAgent, round_: int, triggered: bool, moves_out: list
+        self,
+        agent: _RefAgent,
+        round_: int,
+        triggered: bool,
+        moves_out: list,
+        entries=None,
     ) -> None:
         """Resume the agent once; one event, exactly like a heap pop."""
-        self._events += 1
-        if self.max_events is not None and self._events > self.max_events:
-            raise BudgetExceededError(
-                f"event budget exceeded at round {round_}"
-            )
-        obs = self._obs(agent, round_, triggered)
+        self._charge(round_)
+        obs = self._obs(agent, round_, triggered, entries)
         try:
             if agent.state == "ready" and agent.ctx.obs is None:
                 agent.ctx.obs = obs
@@ -244,10 +279,11 @@ class ReferenceSimulation:
             self._finish(agent, round_, stop.value, declared=False)
             return
         kind = op[0]
-        if kind == MOVE or kind == WALK:
+        if kind == MOVE or kind == WALK or kind == PACED:
             # The reference walks one edge per round: a walk op is just
             # a move of its (already resolved) head port; the agent-side
-            # helper re-issues the rest of the plan on arrival.
+            # helper re-issues the rest of the plan on arrival.  A paced
+            # op first waits its pace; _paced_step runs the rest.
             port = op[1]
             degree = self.graph.degree(agent.node)
             if not isinstance(port, int) or port < 0 or port >= degree:
@@ -255,6 +291,12 @@ class ReferenceSimulation:
                     f"agent {agent.label} took invalid port "
                     f"{port!r} at a node of degree {degree}"
                 )
+            if kind == PACED:
+                agent.paced = [op[2], op[3], op[4], op[5], port, []]
+                if op[4]:
+                    agent.state = "paced_wait"
+                    agent.resume_round = round_ + op[4]
+                    return
             moves_out.append((agent, port))
             agent.state = "moving"
         elif kind == WAIT:
@@ -290,6 +332,44 @@ class ReferenceSimulation:
         else:
             raise SimulationError(f"unknown op {op!r}")
 
+    def _paced_step(
+        self, agent: _RefAgent, round_: int, moves_out: list
+    ) -> None:
+        """One round of a paced walk op: a wait expiry moves the agent;
+        an arrival waits for (or, with pace 0, takes) the next edge, or
+        resumes the program where the op ends."""
+        paced = agent.paced
+        steps, pos, pace, stop_degree, port, entries = paced
+        if agent.state == "paced_wait":
+            self._charge(round_)
+            moves_out.append((agent, port))
+            agent.state = "moving"
+            return
+        entry = agent.entry_port
+        entries.append(entry)
+        pos += 1
+        paced[1] = pos
+        degree = self.graph.degree(agent.node)
+        port = None
+        if pos < len(steps) and (
+            stop_degree is None or degree < stop_degree
+        ):
+            port = resolve_walk_step(steps[pos], entry, degree)
+            if port >= degree:
+                port = None
+        if port is None:
+            agent.paced = None
+            self._advance(agent, round_, False, moves_out, entries)
+            return
+        self._charge(round_)
+        paced[4] = port
+        if pace:
+            agent.state = "paced_wait"
+            agent.resume_round = round_ + pace
+        else:
+            moves_out.append((agent, port))
+            agent.state = "moving"
+
     def _due(self, agent: _RefAgent, round_: int) -> tuple[bool, bool]:
         """Is the agent due to resume this round? -> (due, triggered)."""
         if agent.state == "ready":
@@ -303,7 +383,41 @@ class ReferenceSimulation:
         if agent.state == "stable":
             threshold = self.last_change[agent.node] + agent.stable_window - 1
             return round_ >= threshold, False
+        if agent.state == "paced_wait":
+            return round_ >= agent.resume_round, False
+        if agent.state == "paced_arrive":
+            return True, False
         return False, False
+
+    def _next_round(self, round_: int) -> int:
+        """The next round in which anything can happen after ``round_``.
+
+        Sound because CurCards change only through moves and crashes:
+        after a round in which no agent moved, every count stays fixed
+        until the next crash, so no watch can fire, no ``last_change``
+        can move and no dormant agent can be visited before the
+        earliest of the candidates below — and a round where an agent
+        moved always leads to the next one (the mover arrives).
+        """
+        candidates = []
+        for agent in self.agents:
+            state = agent.state
+            if state in ("ready", "retry", "paced_arrive"):
+                return round_ + 1
+            if state in ("waiting", "paced_wait"):
+                candidates.append(agent.resume_round)
+            elif state == "stable":
+                candidates.append(
+                    self.last_change[agent.node] + agent.stable_window - 1
+                )
+            elif state == "dormant" and agent.wake_round is not None:
+                candidates.append(agent.wake_round)
+        if self._faults:
+            fault_round = self._next_fault_round()
+            if fault_round is not None:
+                candidates.append(fault_round)
+        later = [r for r in candidates if r > round_]
+        return min(later) if later else round_ + 1
 
     # -- fault injection ----------------------------------------------
 
@@ -334,6 +448,7 @@ class ReferenceSimulation:
             agent.watch = None
             agent.stable_window = None
             agent.retry_port = None
+            agent.paced = None
             out = agent.outcome
             out.finish_round = round_
             out.finish_node = agent.node
@@ -352,6 +467,7 @@ class ReferenceSimulation:
             agent.watch = None
             agent.stable_window = None
             agent.retry_port = None
+            agent.paced = None
             out = agent.outcome
             out.finish_round = None
             out.finish_node = agent.node
@@ -361,7 +477,15 @@ class ReferenceSimulation:
 
     def run(self) -> SimulationResult:
         """Execute until every agent terminates."""
-        for round_ in range(self.oracle_rounds + 1):
+        round_ = 0
+        processed = 0
+        while True:
+            if processed > self.oracle_rounds:
+                raise SimulationError(
+                    f"reference horizon of {self.oracle_rounds} rounds "
+                    "exhausted before all agents terminated"
+                )
+            processed += 1
             if all(a.state == "done" for a in self.agents):
                 break
             fault_round = self._next_fault_round() if self._faults else None
@@ -425,14 +549,7 @@ class ReferenceSimulation:
             moves: list[tuple[_RefAgent, int]] = []
             for agent in self.agents:
                 if agent.state == "retry":
-                    self._events += 1
-                    if (
-                        self.max_events is not None
-                        and self._events > self.max_events
-                    ):
-                        raise BudgetExceededError(
-                            f"event budget exceeded at round {round_}"
-                        )
+                    self._charge(round_)
                     moves.append((agent, agent.retry_port))
                     agent.retry_port = None
                     agent.state = "moving"
@@ -451,10 +568,13 @@ class ReferenceSimulation:
                                 f"agent resumed too often in round {round_}; "
                                 "non-advancing program?"
                             )
+                        progress = True
+                        if agent.paced is not None:
+                            self._paced_step(agent, round_, moves)
+                            continue
                         agent.watch = None
                         agent.stable_window = None
                         self._advance(agent, round_, triggered, moves)
-                        progress = True
             # 3. apply the round's moves simultaneously, in agent-index
             # order (the canonical trace order of both schedulers).
             moves.sort(key=lambda pair: pair[0].index)
@@ -476,7 +596,7 @@ class ReferenceSimulation:
                 agent.node = dst
                 agent.entry_port = entry
                 agent.outcome.moves += 1
-                agent.state = "ready"
+                agent.state = "ready" if agent.paced is None else "paced_arrive"
                 arrivals.add(dst)
                 if self.trace:
                     self.move_log.append((round_, agent.index, src, dst))
@@ -488,11 +608,7 @@ class ReferenceSimulation:
             for agent in self.agents:
                 if agent.state == "dormant" and agent.node in arrivals:
                     agent.wake_round = round_ + 1
-        else:
-            raise SimulationError(
-                f"reference horizon of {self.oracle_rounds} rounds exhausted "
-                "before all agents terminated"
-            )
+            round_ = self._next_round(round_) if self.idle_jump else round_ + 1
         outcomes = [a.outcome for a in self.agents]
         final_round = max(
             (o.finish_round for o in outcomes if o.finish_round is not None),

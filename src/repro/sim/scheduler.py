@@ -78,6 +78,25 @@ and return a :class:`SegmentPlan` cut to the joint length, which one
 method, :meth:`Simulation._apply_segment`, commits.  Only the scalar
 planner runs on dynamic-edge runs, so only it plans stalls.
 
+Paced walks
+-----------
+A ``paced`` op is a walk plan with a wait of ``pace`` rounds before
+every edge — by definition ``wait pace; move`` per step, two resumes
+per edge.  The scheduler runs those resumes without re-entering the
+generator: a paced walker's heap entry is the expiry of the wait
+before its next edge or the arrival after it, and the generator
+resumes only where the op ends.  Paced walkers read entry ports and
+degrees, never CurCard, so their routes depend on no other agent, and
+on static edges the scheduler advances *all* of them jointly, one
+batch per interaction-free stretch (:meth:`Simulation._paced_batch`):
+every move, wait expiry and arrival below the first round at which
+another agent acts, an op ends, a fault, the horizon or a budget
+falls, or a move would leave or enter a node holding a watcher or a
+dormant agent — which then runs through the ordinary machinery.  A
+batch commits occupancies, ``last_change``, ``events``, ``move_log``
+and the event stream exactly as the per-step rounds would have.
+Dynamic-edge runs keep the per-step path, retries included.
+
 Fault injection
 ---------------
 Crash faults, dynamic edges and the graceful round horizon (see
@@ -95,7 +114,9 @@ with every live agent finalized undeclared and ``timed_out=True``.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from itertools import repeat
+from operator import and_, eq
 from typing import Callable, Iterable
 
 from ..events import stream as _event_stream
@@ -120,6 +141,8 @@ from .ops import (
     MOVE,
     OBSERVE,
     Observation,
+    PACED,
+    PacedObservation,
     SimulationError,
     WAIT,
     WAIT_STABLE,
@@ -345,6 +368,59 @@ class SegmentPlan:
         self.stalls = stalls
 
 
+class _PacedWalk:
+    """Scheduler state of one paced walk op (see ``Simulation._paced_batch``).
+
+    ``pos`` is the plan position of the edge being crossed or waited
+    for, ``port`` its exit port, and ``entries`` the entry ports of the
+    edges crossed so far.  ``arrive`` says what the walker's one heap
+    entry is: the arrival resume after that edge (true), or the expiry
+    of the wait before it (false).
+    """
+
+    __slots__ = ("steps", "pos", "pace", "stop_degree", "port", "entries",
+                 "arrive")
+
+    def __init__(self, steps, pos, pace, stop_degree, port) -> None:
+        self.steps = steps
+        self.pos = pos
+        self.pace = pace
+        self.stop_degree = stop_degree
+        self.port = port
+        self.entries: list[int] = []
+        self.arrive = False
+
+
+def _paced_moves(first: int, period: int, length: int, bound: int):
+    """``(moves, arrivals)`` of a paced route before round ``bound``.
+
+    The route's edges are crossed in rounds ``first + j * period``
+    (``j < length``) and arrived at one round later.
+    """
+    if bound <= first:
+        return 0, 0
+    n = (bound - 1 - first) // period + 1
+    if n > length:
+        n = length
+    if first + (n - 1) * period + 1 >= bound:
+        return n, n - 1
+    return n, n
+
+
+def _paced_events(plans, bound) -> int:
+    """Resumes a paced batch's walkers make in rounds before ``bound``:
+    the pending arrival, a wait expiry per move (pace > 0) and an
+    arrival per move."""
+    total = 0
+    for entry, walk, route in plans:
+        if route is None or entry[0] >= bound:
+            continue
+        _pos, _port, _chase, _off, length, first, period = route
+        n, arrived = _paced_moves(first, period, length, bound)
+        total += arrived + (n if walk.pace else 0) + (1 if walk.arrive else 0)
+    return total
+
+
 class Simulation:
     """Run a set of agents on a port-labelled graph.
 
@@ -432,6 +508,10 @@ class Simulation:
         self._wait_until: list = [None] * k  # watched wait's expiry round
         self._stable: list[int | None] = [None] * k  # wait_stable window
         self._walk_trace: list = [None] * k  # pending fast-path segment
+        # Paced walk ops in flight (a _PacedWalk per walker, else None)
+        # and how many there are; see _paced_batch.
+        self._paced: list = [None] * k
+        self._paced_n = 0
         self._label_index = {s.label: i for i, s in enumerate(self.specs)}
         self._outcomes = [AgentOutcome(s.label, s.start_node) for s in self.specs]
 
@@ -492,6 +572,8 @@ class Simulation:
         self._c_segments = _metrics_registry.Counter()
         self._c_segment_edges = _metrics_registry.Counter()
         self._c_watch_fires = _metrics_registry.Counter()
+        self._c_paced_batches = _metrics_registry.Counter()
+        self._c_paced_edges = _metrics_registry.Counter()
         self._mx = _metrics_registry.current()
         self._metrics_flushed = False
         # Segment planner (and, on static edges, the graph's shared
@@ -705,6 +787,13 @@ class Simulation:
                 self._c_segment_edges.value
             )
             mx.counter("sim.watch.fires").value += self._c_watch_fires.value
+            if self._c_paced_batches.value:
+                mx.counter("sim.paced.batches").value += (
+                    self._c_paced_batches.value
+                )
+                mx.counter("sim.paced.edges").value += (
+                    self._c_paced_edges.value
+                )
             if self._c_faults.value:
                 mx.counter("sim.faults.injected").value += (
                     self._c_faults.value
@@ -738,10 +827,14 @@ class Simulation:
             )
         if self._fault_queue is not None:
             self._apply_faults(round_)
+        if self._paced_n and self.route_cache is not None:
+            if self._paced_batch(round_):
+                return
         pending_moves: list[tuple[int, int]] = []  # (idx, port)
         pending_walks: list[tuple] = []  # (idx, head, steps, pos, watch)
         pending_observes: list[tuple[int, int]] = []  # (idx, remaining)
         retries = self._retry_move
+        paced = self._paced if self._paced_n else None
         resumes = 0
         while heap and heap[0][0] == round_:
             _, _, idx, epoch = heapq.heappop(heap)
@@ -783,6 +876,12 @@ class Simulation:
                 pending_moves.append((idx, retries[idx]))
                 retries[idx] = None
                 continue
+            if (
+                paced is not None
+                and paced[idx] is not None
+                and self._paced_step(idx, round_, pending_moves)
+            ):
+                continue  # a paced walk's wait expiry or arrival
             op = self._resume(idx, round_)
             if op is None:
                 continue  # agent terminated
@@ -803,6 +902,8 @@ class Simulation:
                 pending_observes.append((idx, op[1]))
             elif kind == DECLARE:
                 self._finish(idx, round_, op[1], declared=True)
+            elif kind == PACED:
+                self._begin_paced(idx, round_, op, pending_moves)
             else:
                 raise SimulationError(f"unknown op {op!r}")
         if pending_walks or pending_observes:
@@ -833,14 +934,23 @@ class Simulation:
             )
         else:
             self._walk_trace[idx] = None
-            obs = WalkObservation(
-                round_,
-                self.graph.degree(node),
-                self._entry_port[idx],
-                self._counts[node],
-                triggered,
-                walked,
-            )
+            if type(walked) is list:  # a paced walk's entry ports
+                obs = PacedObservation(
+                    round_,
+                    self.graph.degree(node),
+                    self._entry_port[idx],
+                    self._counts[node],
+                    walked,
+                )
+            else:
+                obs = WalkObservation(
+                    round_,
+                    self.graph.degree(node),
+                    self._entry_port[idx],
+                    self._counts[node],
+                    triggered,
+                    walked,
+                )
         self._entry_port[idx] = None
         return obs
 
@@ -888,7 +998,7 @@ class Simulation:
         except StopIteration as stop:
             self._finish(idx, round_, stop.value, declared=False)
             return None
-        if op[0] == MOVE or op[0] == WALK:
+        if op[0] == MOVE or op[0] == WALK or op[0] == PACED:
             port = op[1]
             node = self._pos[idx]
             if not isinstance(port, int) or port < 0 or port >= self.graph.degree(node):
@@ -969,6 +1079,7 @@ class Simulation:
         self._dormant_at[node].discard(idx)
         self._gens[idx] = None
         self._walk_trace[idx] = None
+        self._drop_paced(idx)
         if self._retry_move is not None:
             self._retry_move[idx] = None
         self._counts[node] -= 1
@@ -1019,6 +1130,7 @@ class Simulation:
             self._dormant_at[node].discard(idx)
             self._gens[idx] = None
             self._walk_trace[idx] = None
+            self._drop_paced(idx)
         self._heap.clear()
 
     # ------------------------------------------------------------------
@@ -1577,6 +1689,365 @@ class Simulation:
                     node=routes[w][m],
                     count=final_cards[w],
                 ))
+
+    # ------------------------------------------------------------------
+    # Paced walks.
+    # ------------------------------------------------------------------
+
+    def _begin_paced(self, idx, round_, op, pending_moves) -> None:
+        """Start a paced walk op (its head port is validated by
+        :meth:`_resume`): the wait before its first edge, or, with pace
+        0, the edge itself."""
+        _kind, port, steps, pos, pace, stop_degree = op
+        if self._planner is None:
+            self._resolve_planner()  # binds the route cache on static edges
+        walk = _PacedWalk(steps, pos, pace, stop_degree, port)
+        self._paced[idx] = walk
+        self._paced_n += 1
+        if pace:
+            self._push(round_ + pace, idx)
+        else:
+            walk.arrive = True
+            pending_moves.append((idx, port))
+
+    def _paced_step(self, idx, round_, pending_moves) -> bool:
+        """One paced-walk event without re-entering the generator.
+
+        At a wait expiry the walker crosses its edge this round; at an
+        arrival it records the entry port and waits for (or, with pace
+        0, crosses) the next edge.  Returns false when the op ends at
+        this arrival: the caller then resumes the generator, which
+        receives the crossed entry ports.  Both are resumes of the
+        per-step code and cost an event each.
+        """
+        walk = self._paced[idx]
+        if not walk.arrive:
+            walk.arrive = True
+            pending_moves.append((idx, walk.port))
+            return True
+        entry = self._entry_port[idx]
+        walk.entries.append(entry)
+        walk.pos += 1
+        port = self._paced_port(walk, walk.pos, self._pos[idx], entry)
+        if port is None:
+            self._drop_paced(idx)
+            self._walk_trace[idx] = walk.entries
+            return False
+        walk.port = port
+        if walk.pace:
+            walk.arrive = False
+            self._push(round_ + walk.pace, idx)
+        else:
+            pending_moves.append((idx, port))
+        return True
+
+    def _paced_port(self, walk, pos, node, entry) -> int | None:
+        """Exit port of plan step ``pos`` at ``node``, or ``None`` where
+        the op ends: plan end, degree stop or invalid absolute step."""
+        steps = walk.steps
+        if pos >= len(steps):
+            return None
+        degree = self.graph.degree(node)
+        if walk.stop_degree is not None and degree >= walk.stop_degree:
+            return None
+        step = steps[pos]
+        if step >= 0:
+            return step if step < degree else None
+        return (entry + ~step) % degree
+
+    def _drop_paced(self, idx: int) -> None:
+        if self._paced[idx] is not None:
+            self._paced[idx] = None
+            self._paced_n -= 1
+
+    def _paced_batch(self, round_: int) -> bool:
+        """Advance every paced walker to a joint bound in one step.
+
+        Paced walkers read only entry ports and degrees, never CurCard,
+        so their routes do not depend on any other agent.  Walker ``w``
+        crosses its route's edges in rounds ``first_w + j * (pace_w +
+        1)``; the batch commits every such move, and every wait-expiry
+        and arrival resume, below the joint bound ``H``: the minimum of
+
+        * the next heap entry of an agent that is not a paced walker;
+        * the next fault round, ``horizon + 1`` and ``max_round + 1``;
+        * per walker, the arrival at which its op ends (the generator
+          resumes there) and its first move that departs from or
+          arrives at a node holding a watcher or a dormant agent (that
+          move runs through :meth:`_apply_moves`);
+        * the first round whose resumes would exceed ``max_events``.
+
+        The per-step code would do exactly the same in those rounds:
+        no other agent acts, and the moves wake or notify no one.  Runs
+        only when the round's first heap entry is a paced walker's, on
+        static edges (routes come from the route cache).  Returns false,
+        changing nothing, when nothing falls below ``H``.
+        """
+        heap = self._heap
+        epoch = self._epoch
+        state = self._state
+        paced = self._paced
+        popped = []
+        bound = _UNBOUNDED
+        while heap:
+            top = heap[0]
+            i = top[2]
+            if top[3] != epoch[i] or state[i] == _DONE:
+                heapq.heappop(heap)
+            elif paced[i] is None:
+                bound = top[0]
+                break
+            else:
+                popped.append(heapq.heappop(heap))
+        if not popped or popped[0][0] != round_ or bound <= round_:
+            for entry in popped:
+                heapq.heappush(heap, entry)
+            return False
+        if self._fault_queue is not None:
+            fault = self._next_fault_round()
+            if fault is not None and fault < bound:
+                bound = fault
+        if self.horizon is not None and self.horizon + 1 < bound:
+            bound = self.horizon + 1
+        if self.max_round is not None and self.max_round + 1 < bound:
+            bound = self.max_round + 1
+        pos_of = self._pos
+        watchers = self._watchers
+        dormant_at = self._dormant_at
+        touchy = [v for v in set(pos_of) if watchers[v] or dormant_at[v]]
+        lookup = self.route_cache.lookup
+        plans = []
+        for entry in popped:
+            e = entry[0]
+            i = entry[2]
+            walk = paced[i]
+            node = pos_of[i]
+            if walk.arrive:
+                pos = walk.pos + 1
+                port = self._paced_port(walk, pos, node, self._entry_port[i])
+                if port is None:  # the op ends at this arrival
+                    if e < bound:
+                        bound = e
+                    plans.append((entry, walk, None))
+                    continue
+                first = e + walk.pace
+            else:
+                pos = walk.pos
+                port = walk.port
+                first = e
+            chase, off = lookup(walk.steps, pos, node, port)
+            length = len(chase.entries) - off
+            stop = walk.stop_degree
+            if stop is not None:
+                degrees = chase.degrees[off:off + length]
+                if max(degrees) >= stop:
+                    length = next(
+                        j for j, d in enumerate(degrees) if d >= stop
+                    ) + 1
+            period = walk.pace + 1
+            end = first + (length - 1) * period + 1
+            if end < bound:
+                bound = end
+            for v in touchy:
+                at = chase.visits(v)
+                k = bisect_left(at, off)
+                if k < len(at):
+                    # Move j arrives at nodes[off + j + 1]; move 0 also
+                    # departs from nodes[off].
+                    j = at[k] - off - 1
+                    if j < 0:
+                        j = 0
+                    if j < length and first + j * period < bound:
+                        bound = first + j * period
+            plans.append(
+                (entry, walk, (pos, port, chase, off, length, first, period))
+            )
+        if self.max_events is not None:
+            left = self.max_events - self._events
+            if _paced_events(plans, bound) > left:
+                # Stop at the round whose resumes cross the budget: the
+                # per-step path raises there with the exact message.
+                lo, hi = round_, bound - 1
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if _paced_events(plans, mid + 1) > left:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                bound = lo
+        if bound <= round_:
+            for entry in popped:
+                heapq.heappush(heap, entry)
+            return False
+        self._commit_paced(plans, bound)
+        return True
+
+    def _commit_paced(self, plans, bound) -> None:
+        """Commit a paced batch below ``bound`` (see :meth:`_paced_batch`).
+
+        Each walker's next heap entry is pushed in the order the
+        per-step code would have pushed it, so later same-round resumes
+        keep their order: a wait expiry is pushed by the arrival resume
+        before it, an arrival by the move before it (after the round's
+        resumes, in agent order).
+        """
+        heap = self._heap
+        counts = self._counts
+        pos_of = self._pos
+        entry_port = self._entry_port
+        outcomes = self._outcomes
+        events = 0
+        edges = 0
+        pushes = []
+        walked = []
+        for entry, walk, route in plans:
+            e, seq, i, _epoch = entry
+            if e >= bound:
+                heapq.heappush(heap, entry)  # untouched: keeps its order
+                continue
+            pos, port, chase, off, length, first, period = route
+            n, arrived = _paced_moves(first, period, length, bound)
+            walked.append(
+                (i, e if walk.arrive else None, first, period, n, arrived,
+                 walk.pace, chase.nodes, off)
+            )
+            key = (-1, seq)
+            if walk.arrive:  # the arrival resume at e
+                walk.entries.append(entry_port[i])
+                walk.pos = pos
+                events += 1
+                key = (e, 0, key)
+            if n:
+                nodes = chase.nodes
+                last = first + (n - 1) * period
+                counts[nodes[off]] -= 1
+                counts[nodes[off + n]] += 1
+                pos_of[i] = nodes[off + n]
+                entry_port[i] = chase.entries[off + n - 1]
+                outcomes[i].moves += n
+                edges += n
+                events += arrived + (n if walk.pace else 0)
+                if arrived:
+                    walk.entries.extend(chase.entries[off:off + arrived])
+                    walk.pos = pos + arrived
+                if arrived < n:  # the last arrival is at or past the bound
+                    walk.arrive = True
+                    pushes.append(((last, 1, i), last + 1, i))
+                    continue
+                key = (last + 1, 0, (last, 1, i))
+                port = chase.ports[off + n]
+            walk.arrive = False
+            walk.port = port
+            pushes.append((key, first + n * period, i))
+        self._events += events
+        self._c_paced_batches.value += 1
+        self._c_paced_edges.value += edges
+        if self.trace or self._emit is not None:
+            self._record_paced(walked)
+        if edges:
+            self._paced_last_change(walked)
+        pushes.sort()
+        for _key, next_round, i in pushes:
+            self._push(next_round, i)
+
+    def _record_paced(self, walked) -> None:
+        """A batch's ``move_log`` entries and events, as per-step emits
+        them: per event round, its moves in agent order, then one
+        :class:`RoundAdvance` with the round's resumes."""
+        resumes: dict[int, int] = {}
+        moves = []
+        for i, start, first, period, n, arrived, pace, nodes, off in walked:
+            if start is not None:
+                resumes[start] = resumes.get(start, 0) + 1
+            for j in range(n):
+                r = first + j * period
+                moves.append((r, i, nodes[off + j], nodes[off + j + 1]))
+                if pace:
+                    resumes[r] = resumes.get(r, 0) + 1
+                if j < arrived:
+                    resumes[r + 1] = resumes.get(r + 1, 0) + 1
+        moves.sort()
+        if self.trace:
+            self.move_log.extend(moves)
+        if self._emit is not None:
+            emit = self._emit.emit
+            k = 0
+            for r in sorted(resumes):
+                while k < len(moves) and moves[k][0] == r:
+                    _r, i, src, dst = moves[k]
+                    emit(_EvAgentMove(round=r, agent=i, src=src, dst=dst))
+                    k += 1
+                emit(_EvRoundAdvance(round=r, resumes=resumes[r]))
+
+    def _paced_last_change(self, walked) -> None:
+        """Fold a batch's moves into ``_last_change``.
+
+        Scans the moves newest round first with :meth:`_apply_moves`'
+        rule — a node changed in a round iff its arrivals and
+        departures there do not cancel — and stops once every node the
+        batch touched has its latest change.  Every batch round is
+        later than any change already recorded or logged.
+
+        Two walkers moving in the same rounds (equal pace and phase, as
+        agents woken together are) often swap nodes for long stretches,
+        which changes no count; their steps that leave the pair's node
+        multiset unchanged are found up front and skipped.
+        """
+        last_change = self._last_change
+        heads = []
+        touched: set[int] = set()
+        for _i, _s, first, period, n, _a, _p, nodes, off in walked:
+            if not n:
+                continue
+            route = nodes[off:off + n + 1]
+            touched.update(route)
+            heads.append((first + (n - 1) * period, n - 1, period, route))
+        still = None
+        if len(heads) == 2:
+            (ta, ja, pa, ra), (tb, jb, pb, rb) = heads
+            if pa == pb and ta - ja * pa == tb - jb * pb:
+                common = min(ja, jb) + 2  # positions 0 .. min(ja, jb) + 1
+                low = list(map(min, ra[:common], rb[:common]))
+                high = list(map(max, ra[:common], rb[:common]))
+                # still[t]: step t leaves the pair's multiset unchanged.
+                still = bytes(map(
+                    and_, map(eq, low, low[1:]), map(eq, high, high[1:])
+                ))
+        left = len(touched)
+        found: set[int] = set()
+        while heads:
+            if still is not None and len(heads) == 2:
+                (ta, ja, pa, ra), (tb, jb, _pb, rb) = heads
+                if ja == jb and still[ja]:
+                    k = still.rfind(0, 0, ja)
+                    if k < 0:
+                        return  # no earlier step changes a count
+                    heads = [
+                        (ta - (ja - k) * pa, k, pa, ra),
+                        (tb - (jb - k) * pa, k, pa, rb),
+                    ]
+            r = max(head[0] for head in heads)
+            deltas: dict[int, int] = {}
+            rest = []
+            for head in heads:
+                t, j, period, route = head
+                if t != r:
+                    rest.append(head)
+                    continue
+                src = route[j]
+                dst = route[j + 1]
+                if src != dst:
+                    deltas[src] = deltas.get(src, 0) - 1
+                    deltas[dst] = deltas.get(dst, 0) + 1
+                if j:
+                    rest.append((t - period, j - 1, period, route))
+            heads = rest
+            for v, delta in deltas.items():
+                if delta and v not in found:
+                    found.add(v)
+                    last_change[v] = r + 1
+            if len(found) == left:
+                return
 
     # ------------------------------------------------------------------
     # Move application (end of round).

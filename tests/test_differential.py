@@ -32,6 +32,7 @@ from hypothesis import strategies as st
 from repro.events import EventDispatcher, ListProcessor, WalkSegment
 from repro.events.types import EdgeBlocked
 from repro.graphs import (
+    lollipop,
     path_graph,
     random_regular,
     ring,
@@ -39,7 +40,10 @@ from repro.graphs import (
     star_graph,
     torus,
 )
+from repro.core import runs
+from repro.core.runs import prepare_gather_unknown
 from repro.metrics import registry as metrics_registry
+from repro.runner import ExperimentSpec
 from repro.runner.spec import TrialSpec
 from repro.runner.trial import (
     _build_graph,
@@ -51,12 +55,14 @@ from repro.sim import AgentSpec, Simulation, WatchTriggered
 from repro.sim.agent import (
     move,
     observe,
+    paced_walk,
     wait,
     wait_stable,
     walk,
     walk_cols,
 )
 from repro.sim.faults import EdgeDynamics, make_dynamics
+from repro.sim.ops import resolve_walk_step
 from repro.sim.reference import ReferenceSimulation
 
 GRAPHS = {
@@ -143,6 +149,18 @@ def scripted_program(script):
                          trig.observation.curcard,
                          trig.observation.entry_port)
                     )
+            elif kind in ("paced", "paced_steps"):
+                # ``("paced", steps, pace, stop_before_invalid,
+                # stop_degree)``; ``paced_steps`` runs the per-step
+                # definition of the op instead.
+                helper = paced_walk if kind == "paced" else paced_by_steps
+                entries = yield from helper(
+                    ctx, op[1], op[2],
+                    stop_before_invalid=op[3], stop_degree=op[4],
+                )
+                obs = ctx.obs
+                log.append(("paced", tuple(entries), obs.round,
+                            obs.degree, obs.entry_port, obs.curcard))
             elif kind == "observe":
                 records = yield from observe(ctx, op[1])
                 log.append(("observe", tuple(records)))
@@ -152,6 +170,27 @@ def scripted_program(script):
         return log
 
     return program
+
+
+def paced_by_steps(
+    ctx, steps, pace, stop_before_invalid=False, stop_degree=None
+):
+    """The definition of :func:`paced_walk`: wait ``pace``, then move,
+    per step (Algorithm 7's per-edge loop)."""
+    entries = []
+    entry = None
+    for step in steps:
+        degree = ctx.degree()
+        if stop_degree is not None and degree >= stop_degree:
+            break
+        port = resolve_walk_step(step, entry, degree)
+        if stop_before_invalid and not 0 <= port < degree:
+            break
+        yield from wait(ctx, pace)
+        obs = yield from move(ctx, port)
+        entry = obs.entry_port
+        entries.append(entry)
+    return entries
 
 
 def _specs(scripts, wakes, starts=None):
@@ -213,6 +252,29 @@ def run_both(
     except Exception as exc:
         ref_out = exc
     return (fast, fast_out), (ref, ref_out)
+
+
+class EveryRoundReference(ReferenceSimulation):
+    """The oracle without its idle-round jump: every round processed."""
+
+    idle_jump = False
+
+
+def run_every_round(graph, scripts, wakes, starts=None, dynamics=None,
+                    **kw):
+    """The reference run of :func:`run_both`, processing every round."""
+    ref = EveryRoundReference(
+        graph,
+        _specs(scripts, wakes, starts),
+        trace=True,
+        dynamics=None if dynamics is None else dynamics(graph),
+        **kw,
+    )
+    try:
+        out = ref.run()
+    except Exception as exc:
+        out = exc
+    return ref, out
 
 
 def assert_equivalent(fast_pair, ref_pair):
@@ -548,14 +610,15 @@ def covering_tour(graph, start=0):
 
 
 def random_script(rng, min_degree, max_ops=8):
-    """A seeded random op script mixing moves, walks, watched waits,
-    per-round observations and stability waits.  Walk plans mix rule
+    """A seeded random op script mixing moves, walks, paced walks,
+    watched waits, per-round observations and stability waits.  Walk
+    plans mix rule
     steps (always valid) with absolute ports below ``min_degree``
     (valid on every node)."""
     script = []
     for _ in range(rng.randrange(max_ops + 1)):
         kind = rng.choice(
-            ("move", "wait", "stable", "walk", "walk", "observe")
+            ("move", "wait", "stable", "walk", "walk", "observe", "paced")
         )
         if kind == "move":
             script.append(("move", rng.randrange(4), rng.choice(WATCHES)))
@@ -573,6 +636,17 @@ def random_script(rng, min_degree, max_ops=8):
             script.append(("walk", steps, rng.choice(WATCHES)))
         elif kind == "observe":
             script.append(("observe", rng.randrange(1, 10)))
+        elif kind == "paced":
+            steps = tuple(
+                ~rng.randrange(6)
+                if rng.random() < 0.6
+                else rng.randrange(min_degree)
+                for _ in range(rng.randrange(1, 13))
+            )
+            script.append((
+                "paced", steps, rng.randrange(6), False,
+                rng.choice((None, None, 3, 4)),
+            ))
         else:
             script.append(("stable", rng.randrange(1, 9)))
     return script
@@ -608,7 +682,10 @@ class TestSeededRandomizedSuite(_PlannerChoice):
             rng.choice([None, 0, rng.randrange(1, 7)])
             for _ in range(agents - 1)
         ]
-        assert_equivalent(*run_both(graph, scripts, wakes))
+        fast, ref = run_both(graph, scripts, wakes)
+        assert_equivalent(fast, ref)
+        if self.planner == "static":
+            assert_equivalent(ref, run_every_round(graph, scripts, wakes))
 
     @pytest.mark.parametrize("graph_name", sorted(EXTENDED_GRAPHS))
     def test_all_dormant_but_one(self, graph_name):
@@ -1067,7 +1144,12 @@ class TestFaultedDifferential:
             if seed % 2
             else None
         )
-        assert_equivalent(*run_both(
+        fast, ref = run_both(
+            graph, scripts, wakes,
+            faults=faults, dynamics=dynamics, horizon=400,
+        )
+        assert_equivalent(fast, ref)
+        assert_equivalent(ref, run_every_round(
             graph, scripts, wakes,
             faults=faults, dynamics=dynamics, horizon=400,
         ))
@@ -1245,6 +1327,81 @@ class TestFaultedSearchTrial:
         assert fast.segments <= 250
 
 
+def _trial_summary(result):
+    """A run's outcome, comparable across schedulers (payloads are
+    outcome objects without ``__eq__``), or the raised error."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return (
+        result.final_round, result.total_moves, result.events,
+        result.crashed_labels, result.timed_out,
+        [(o.label, o.wake_round, o.finish_round, o.finish_node,
+          o.declared, o.crashed, o.moves, repr(o.payload))
+         for o in result.outcomes],
+    )
+
+
+def _run_to_summary(sim):
+    try:
+        return _trial_summary(sim.run())
+    except Exception as exc:  # compared against the other scheduler's
+        return _trial_summary(exc)
+
+
+class TestUnknownSizeTrials:
+    """Whole ``GatherUnknownUpperBound`` trials agree with the oracle.
+
+    Their clocks reach hundreds of digits, so the oracle runs them
+    thanks to its idle-round jump; the paced walks of the ball
+    traversal and the unwind are most of their edges.  Trials are built
+    as the runner builds them, failures included: ``random:20`` wakes
+    that exceed the hypothesis budget must fail identically."""
+
+    GRID = ExperimentSpec(
+        algorithm="gather_unknown",
+        family="edge",
+        sizes=(2,),
+        label_sets=((1, 2), (2, 3), (1, 3)),
+        seeds=(0, 1),
+        wake_schedules=("simultaneous", "staggered:4", "random:20"),
+    )
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "trial", GRID.trials(), ids=lambda trial: trial.key
+    )
+    def test_gather_unknown_trial_matches_reference(self, trial):
+        graph = _build_graph(trial)
+        starts, wakes = resolve_scenario(trial, graph, 0)
+        fast = prepare_gather_unknown(
+            graph, list(trial.labels), start_nodes=starts, wake_rounds=wakes
+        ).simulation
+        ref = ReferenceSimulation(graph, fast.specs, max_events=fast.max_events)
+        fast_summary = _run_to_summary(fast)
+        assert fast_summary == _run_to_summary(ref)
+        assert fast._c_paced_batches.value > 0
+
+    @pytest.mark.slow
+    def test_gossip_unknown_trial_matches_reference(self, monkeypatch):
+        built = []
+
+        class Recorded(Simulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runs, "Simulation", Recorded)
+        graph = single_edge()
+        report = runs.run_gossip_unknown(
+            graph, [1, 2], ["01", "1"], start_nodes=[0, 1],
+            wake_rounds=[0, 3],
+        )
+        (fast,) = built
+        ref = ReferenceSimulation(graph, fast.specs, max_events=fast.max_events)
+        assert _trial_summary(fast.result()) == _run_to_summary(ref)
+        assert report.events == fast.result().events
+
+
 class TestPlannerParity:
     """Both planners hand the scheduler the same segments: equal
     ``WalkSegment`` events and walk-watch fire counts on a cohort whose
@@ -1299,3 +1456,245 @@ def test_differential_property(graph_name, scripts, wake_picks, data):
         scripts = scripts[: graph.n]
     wakes = [0] + [wake_picks[i % 3] for i in range(len(scripts) - 1)]
     assert_equivalent(*run_both(graph, scripts, wakes))
+
+
+def _stepped(scripts):
+    """The scripts with every paced op replaced by its per-step
+    definition."""
+    return [
+        [("paced_steps",) + op[1:] if op[0] == "paced" else op
+         for op in script]
+        for script in scripts
+    ]
+
+
+def _observed_run(graph, scripts, wakes, starts, dynamics=None, **kw):
+    """A fast-scheduler run in trace mode with an event collector:
+    ``(sim, result or exception, events)``."""
+    collector = ListProcessor()
+    sim = Simulation(
+        graph,
+        _specs(scripts, wakes, starts),
+        trace=True,
+        events=EventDispatcher([collector]),
+        dynamics=None if dynamics is None else dynamics(graph),
+        **kw,
+    )
+    try:
+        out = sim.run()
+    except Exception as exc:
+        out = exc
+    return sim, out, collector.events
+
+
+@pytest.mark.parametrize("pace", range(6))
+class TestPacedWalks:
+    """Paced walk ops, which the scheduler advances jointly across
+    walkers between interactions, agree with the oracle (which runs
+    them a round at a time) and with their per-step definition ``wait
+    pace; move`` on the fast scheduler — results, ``move_log`` and the
+    event stream, ``AgentMove`` and ``RoundAdvance`` included."""
+
+    RING = EXTENDED_GRAPHS["ring6"]  # nodes 0-1-2-3-4-5-0
+
+    def check(self, graph, scripts, wakes, starts=None, batched=True,
+              **kw):
+        assert_equivalent(*run_both(graph, scripts, wakes, starts, **kw))
+        paced = _observed_run(graph, scripts, wakes, starts, **kw)
+        stepped = _observed_run(graph, _stepped(scripts), wakes, starts, **kw)
+        assert_equivalent(paced[:2], stepped[:2])
+        assert paced[2] == stepped[2]
+        if batched is not None:
+            assert (paced[0]._c_paced_batches.value > 0) == batched
+        return paced
+
+    def laps(self, route, times):
+        return ports_along(self.RING, route) * times
+
+    def test_walkers_cross_one_edge_in_the_same_round(self, pace):
+        """Both agents of the edge swap nodes in every move: no node's
+        CurCard ever varies, so the stability waits after the walks
+        must see no change."""
+        scripts = [
+            [("paced", (0,) * 7, pace, False, None), ("stable", 4),
+             ("wait", 2, None)],
+            [("paced", (0,) * 5, pace, False, None), ("stable", 3)],
+        ]
+        self.check(GRAPHS["edge"], scripts, [0, 0])
+
+    def test_lockstep_pair_swaps_then_parts(self, pace):
+        """Two walkers in step swap nodes three times (no count
+        changes), then part; stability readers on their nodes and on
+        the nodes they pass afterwards see only the parting moves."""
+        scripts = [
+            [("paced", ports_along(self.RING, [0, 1, 0, 1, 2, 3, 4]), pace,
+              False, None), ("stable", 6)],
+            [("paced", ports_along(self.RING, [1, 0, 1, 0, 5, 4, 3]), pace,
+              False, None), ("stable", 9)],
+            [("wait", 45, None), ("stable", 40)],
+        ]
+        self.check(self.RING, scripts, [0, 0, 0], [0, 1, 3])
+
+    def test_walkers_end_together_then_walk_jointly(self, pace):
+        """Walkers in step end their paced walks in one round and walk
+        on as one cohort: the segment lists them in the per-step
+        resume order, which the batch must hand on."""
+        scripts = [
+            [("paced", self.laps([0, 1, 2, 3], 1), pace, False, None),
+             ("walk", self.laps([3, 4, 5, 0, 1], 1), None)],
+            [("paced", self.laps([3, 4, 5, 0], 1), pace, False, None),
+             ("walk", self.laps([0, 1, 2, 3, 4], 1), None)],
+        ]
+        paced = self.check(self.RING, scripts, [0, 0], [0, 3])
+        (segment,) = [e for e in paced[2] if isinstance(e, WalkSegment)]
+        assert segment.walkers == (0, 1)
+
+    def test_walkers_in_file_cancel_on_the_middle_node(self, pace):
+        """On the path ``0-1-2-3`` two walkers in step move right
+        twice: each move's arrival and departure cancel on the node
+        between them, so node 2 last changed on the first move, and
+        the stability wait there must count from it."""
+        graph = path_graph(4)
+        scripts = [
+            [("paced", ports_along(graph, [0, 1, 2]), pace, False, None),
+             ("stable", 2 * pace + 4)],
+            [("paced", ports_along(graph, [1, 2, 3]), pace, False, None),
+             ("wait", 1, None)],
+        ]
+        self.check(graph, scripts, [0, 0], [0, 1])
+
+    def test_interleaved_walkers_with_other_paces(self, pace):
+        """Two walkers with other paces and phases tour the ring in
+        opposite directions, then wait for stability; a third agent
+        reads stability on a node both crossed."""
+        scripts = [
+            [("paced", self.laps([0, 1, 2, 3, 4, 5, 0], 2), pace, False,
+              None), ("stable", 5)],
+            [("paced", self.laps([3, 2, 1, 0, 5, 4, 3], 2), pace + 2,
+              False, None), ("stable", 2)],
+            [("wait", 40, None), ("stable", 60), ("wait", 1, None)],
+        ]
+        self.check(self.RING, scripts, [0, 3, 0], [0, 3, 5])
+
+    def test_lockstep_walkers_with_other_paces(self, pace):
+        """Walkers whose move rounds coincide only now and then (paces
+        p and 2p + 1) cross and meet on the edge."""
+        scripts = [
+            [("paced", (0,) * 9, pace, False, None), ("stable", 3)],
+            [("paced", (0,) * 5, 2 * pace + 1, False, None), ("stable", 4)],
+        ]
+        self.check(GRAPHS["edge"], scripts, [0, 0])
+
+    def test_watched_waiter_passed_twice(self, pace):
+        """The first pass fires the waiter's ``eq 2`` watch, the second
+        does not fire its ``gt 2`` watch."""
+        graph = path_graph(5)
+        route = [0, 1, 2, 3, 4, 3, 2, 1, 0]
+        scripts = [
+            [("paced", ports_along(graph, route), pace, False, None)],
+            [("wait", 200, ("eq", 2)), ("wait", 200, ("gt", 2))],
+        ]
+        self.check(graph, scripts, [0, 0], [0, 2])
+
+    def test_stable_reader_after_a_batch(self, pace):
+        """A plain waiter's node is crossed inside batches; its later
+        stability window reaches back over the crossings."""
+        scripts = [
+            [("paced", self.laps([0, 1, 2, 3, 4, 5, 0], 2), pace, False,
+              None), ("wait", 3, None)],
+            [("wait", 90, None), ("stable", 130)],
+        ]
+        self.check(self.RING, scripts, [0, 0], [0, 2])
+
+    def test_dormant_agent_on_the_route(self, pace):
+        """The first arrival on a dormant agent's node wakes it."""
+        scripts = [
+            [("paced", self.laps([0, 1, 2, 3, 4, 5, 0], 2), pace, False,
+              None)],
+            [("move", 0, None), ("wait", 3, None)],
+        ]
+        self.check(self.RING, scripts, [0, None], [0, 3])
+
+    @pytest.mark.parametrize("victim, at", [(1, 3), (1, 9), (2, 8)])
+    def test_crash_inside_a_stretch(self, pace, victim, at):
+        """A crash of the walker or of a waiter on its route, falling
+        inside a stretch of paced moves."""
+        scripts = [
+            [("paced", self.laps([0, 1, 2, 3, 4, 5, 0], 2), pace, False,
+              None)],
+            [("wait", 100, None), ("stable", 3)],
+        ]
+        self.check(
+            self.RING, scripts, [0, 0], [0, 3],
+            faults=[(victim, at * (pace + 1) + 1)],
+        )
+
+    @pytest.mark.parametrize("budget", [3, 8, 13])
+    def test_event_budget_inside_a_stretch(self, pace, budget):
+        scripts = [
+            [("paced", self.laps([0, 1, 2, 3, 4, 5, 0], 2), pace, False,
+              None)],
+            [("paced", self.laps([3, 4, 5, 0, 1, 2, 3], 1), pace + 1,
+              False, None)],
+        ]
+        self.check(self.RING, scripts, [0, 1], [0, 3], max_events=budget,
+                   batched=None if budget < 8 else True)
+
+    @pytest.mark.parametrize("edges", [2, 7])
+    def test_horizon_and_round_budget_inside_a_stretch(self, pace, edges):
+        scripts = [
+            [("paced", self.laps([0, 1, 2, 3, 4, 5, 0], 2), pace, False,
+              None)],
+            [("wait", 500, None)],
+        ]
+        last = edges * (pace + 1) + 1
+        self.check(self.RING, scripts, [0, 0], [0, 3], horizon=last)
+        self.check(self.RING, scripts, [0, 0], [0, 3], max_round=last)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_stop_degree(self, pace, where):
+        """On ``lollipop(4, 4)`` the tail ``7-6-5-4`` has degrees 1-2,
+        the clique junction 0 degree 4: the walk stops on arriving
+        there, or at once from a clique node."""
+        graph = lollipop(4, 4)
+        route = {
+            "first": [1, 2, 3],
+            "middle": [7, 6, 5, 4, 0, 1, 2],
+            "last": [7, 6, 5, 4, 0, 1],
+        }[where]
+        scripts = [
+            [("paced", ports_along(graph, route), pace, False, 3),
+             ("stable", 2)],
+            [("wait", 60, None)],
+        ]
+        self.check(graph, scripts, [0, 0], [route[0], 5],
+                   batched=where != "first")
+
+    @pytest.mark.parametrize("invalid_at", [0, 3, 5])
+    @pytest.mark.parametrize("stop", [True, False])
+    def test_invalid_step(self, pace, invalid_at, stop):
+        """An invalid absolute port (5 on the ring) at the first, a
+        middle or the last step: a quiet stop, or the per-step
+        rejection after the wait."""
+        plan = list(self.laps([0, 1, 2, 3, 4, 5, 0], 1))
+        plan[invalid_at] = 5
+        scripts = [
+            [("paced", tuple(plan), pace, stop, None), ("wait", 2, None)],
+            [("wait", 40, None)],
+        ]
+        self.check(self.RING, scripts, [0, 0], [0, 3],
+                   batched=invalid_at > 0)
+
+    def test_ring_sweep_dynamics(self, pace):
+        """On dynamic edges a paced move keeps the per-step path,
+        blocked-edge retries included."""
+        scripts = [
+            [("paced", self.laps([0, 1, 2, 3, 4, 5, 0], 2), pace, False,
+              None)],
+            [("paced", self.laps([3, 2, 1, 0, 5, 4, 3], 1), pace, False,
+              None), ("stable", 3)],
+        ]
+        self.check(
+            self.RING, scripts, [0, 2], [0, 3], batched=False,
+            dynamics=lambda g: make_dynamics("ring-sweep", g, seed=3),
+        )

@@ -367,6 +367,61 @@ class TestTraceCLI:
         assert "SimulationStart" not in html  # scenes are data, not types
 
 
+class TestPacedWalkTrace:
+    """Paced walks batched across agents emit exactly the per-step
+    event stream: one ``AgentMove`` per edge and one ``RoundAdvance``
+    per event round, with the same ``resumes``."""
+
+    # sha256 of the trace the per-step code wrote for this sweep.
+    SWEEP = [
+        "sweep", "--algorithm", "gather_unknown", "--family", "edge",
+        "--sizes", "2", "--seeds", "0,1",
+        "--wake", "simultaneous,staggered:4", "--backend", "serial",
+        "--quiet",
+    ]
+    SHA256 = (
+        "48dc56fa0f93287344786413c0533ed4a6050e5daae7e8671c2c0ae7991fcd00"
+    )
+
+    def test_sweep_trace_is_pinned(self, tmp_path):
+        import hashlib
+
+        from repro.__main__ import main
+
+        path = tmp_path / "t.jsonl"
+        assert main([
+            *self.SWEEP, "--cache-dir", str(tmp_path / "store"),
+            "--events", str(path),
+        ]) == 0
+        data = path.read_bytes()
+        assert data.count(b"\n") == 5355  # the header and 5354 events
+        assert hashlib.sha256(data).hexdigest() == self.SHA256
+
+    def test_batches_run_with_a_stream_attached(self):
+        from repro.core import run_gather_unknown
+        from repro.graphs import single_edge
+        from repro.metrics import registry as metrics_registry
+
+        reg = metrics_registry.Registry("t")
+        with metrics_registry.attached(reg):
+            report, events = run_collected(
+                run_gather_unknown, single_edge(), [2, 3]
+            )
+        batches = [
+            row["value"] for row in reg.snapshot()["series"]
+            if row["name"] == "sim.paced.batches"
+        ]
+        assert batches and batches[0] > 0
+        # Every edge is an AgentMove, except those of walk segments.
+        moves = sum(isinstance(e, AgentMove) for e in events)
+        segment_edges = sum(
+            len(route) - 1
+            for e in events if isinstance(e, WalkSegment)
+            for route in e.routes
+        )
+        assert moves + segment_edges == report.total_moves
+
+
 class TestConsoleProcessor:
     def test_progress_lines_are_line_atomic(self):
         stream = io.StringIO()

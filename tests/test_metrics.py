@@ -289,6 +289,27 @@ class TestSchedulerIntegration:
         rows = series_by_name(snap)
         assert rows[("sim.wall_seconds", ())]["count"] == 1
 
+    def test_paced_batches_flush_once_per_run(self):
+        """A ``gather_unknown`` run flushes its paced-walk batches; a
+        run without paced walks adds no such series."""
+        from repro.core import run_gather_unknown
+        from repro.graphs import single_edge
+
+        reg = Registry("t")
+        with metrics_registry.attached(reg):
+            report = run_gather_unknown(single_edge(), [1, 2])
+        snap = reg.snapshot()
+        batches = counter_value(snap, "sim.paced.batches")
+        edges = counter_value(snap, "sim.paced.edges")
+        assert 0 < batches < edges <= report.total_moves
+        assert snap_mod.validate_snapshot(snap) == []
+        assert "sim_paced_edges" in snap_mod.to_prometheus(snap)
+        reg = Registry("t")
+        with metrics_registry.attached(reg):
+            self.run_sim()
+        names = {row["name"] for row in reg.snapshot()["series"]}
+        assert "sim.paced.batches" not in names
+
     def test_unattached_run_records_nothing(self):
         reg = Registry("t")
         self.run_sim()  # no registry attached: nothing to flush

@@ -150,7 +150,7 @@ def star_check(ctx: AgentContext, sched: UnknownBoundSchedule, h: int):
         for turn in range(k_h):
             if turn == my_rank and (t == 1 or good):
                 trace = yield from walk(ctx, _dance_plan(degree))
-                for j, rec in enumerate(trace, start=1):
+                for j, rec in enumerate(trace.rows(), start=1):
                     if j % 2 == 1:
                         if t == 1 and rec[3] != 1:
                             good = False
@@ -196,9 +196,7 @@ def ensure_clean_exploration(
                 )
             except WatchTriggered:
                 return False
-            yield from walk(
-                ctx, tuple(reversed([rec[2] for rec in trace]))
-            )
+            yield from walk(ctx, trace.backtrack())
     return True
 
 

@@ -98,7 +98,8 @@ def est(
 
     def do_walk(steps):
         """Walk a plan, logging entry ports and the move count."""
-        trace = yield from walk(ctx, _intern_plan(tuple(steps)))
+        walked = yield from walk(ctx, _intern_plan(tuple(steps)))
+        trace = walked.rows()
         entries.extend(rec[2] for rec in trace)
         state["moves"] += len(trace)
         return trace

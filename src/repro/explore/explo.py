@@ -20,7 +20,7 @@ fast path merely executes it without a per-edge generator resume.
 
 from __future__ import annotations
 
-from ..sim.agent import AgentContext, intern_plan, walk_cols
+from ..sim.agent import AgentContext, intern_plan, walk
 from ..sim.ops import Watch
 from .uxs import UXSProvider
 
@@ -62,25 +62,20 @@ def explo(
     min_card = ctx.curcard()
     effective = min(length, total)
     # Effective part: one precomputed UXS walk plan; the scheduler runs
-    # every interaction-free stretch of it as a single event.  Plans
-    # are interned so the route cache (keyed by plan identity) hits on
-    # every repeated EXPLO of the same agent or group; the full slice
-    # is already the provider's canonical tuple.
-    entries, _degs, cards = yield from walk_cols(
-        ctx, intern_plan(plan[:effective]), watch
-    )
-    if cards:
-        low = min(cards)
-        if low < min_card:
-            min_card = low
+    # every interaction-free stretch of it as a single event.  The
+    # route cache keys chased routes by plan identity, so the full
+    # plan goes as the provider's canonical tuple and a truncated one
+    # is interned.
+    if effective < length:
+        plan = intern_plan(plan[:effective])
+    forward = yield from walk(ctx, plan, watch)
+    if forward.min_card is not None and forward.min_card < min_card:
+        min_card = forward.min_card
     remaining = total - effective
     if remaining > 0:
-        # Backtrack part: the recorded entry ports, absolute, reversed.
-        _bents, _bdegs, bcards = yield from walk_cols(
-            ctx, intern_plan(tuple(reversed(entries))[:remaining]), watch
-        )
-        if bcards:
-            low = min(bcards)
-            if low < min_card:
-                min_card = low
+        # Backtrack part: the recorded entry ports, absolute, reversed
+        # — a plan memoized on the forward walk's route.
+        back = yield from walk(ctx, forward.backtrack(remaining), watch)
+        if back.min_card is not None and back.min_card < min_card:
+            min_card = back.min_card
     return ExploStats(min_card, total)

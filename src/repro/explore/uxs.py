@@ -31,6 +31,7 @@ import random
 from ..graphs.enumerate_graphs import iter_all_port_graphs
 from ..graphs.port_graph import PortGraph
 from ..metrics import register_collector as _register_collector
+from ..sim.agent import intern_plan
 from ..sim.ops import iter_walk, uxs_walk_steps
 
 # Provider cache tallies, process-wide across all UXSProvider
@@ -257,7 +258,9 @@ class UXSProvider:
         cached = self._plan_cache.get(key)
         if cached is None:
             _PLAN_MISSES += 1
-            cached = uxs_walk_steps(self.sequence(n))
+            # Interned: providers of one sequence share one plan
+            # object, and with it the route cache's chases.
+            cached = intern_plan(uxs_walk_steps(self.sequence(n)))
             self._plan_cache[key] = cached
         else:
             _PLAN_HITS += 1

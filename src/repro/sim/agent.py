@@ -31,6 +31,7 @@ from .ops import (
     WAIT,
     WAIT_STABLE,
     WALK,
+    WalkObservation,
     Watch,
     watch_hit,
 )
@@ -150,6 +151,91 @@ def move(ctx: AgentContext, port: int, watch: Watch | None = None) -> AgentGen:
     return obs
 
 
+class Walked:
+    """What one :func:`walk` walked, kept as the observations it got.
+
+    Each piece is a fast-path :class:`~repro.sim.ops.WalkObservation`
+    (a whole segment, by reference into its route) or a plain
+    observation of one edge run through the ordinary machinery.
+    ``min_card`` is the smallest CurCard over all arrivals (``None``
+    when nothing was walked), which is all ``EXPLO`` and the
+    algorithms built on it read; per-edge records and entry ports are
+    built only when asked for.
+    """
+
+    __slots__ = ("pieces", "edges", "min_card")
+
+    def __init__(self) -> None:
+        self.pieces: list[Observation] = []
+        self.edges = 0
+        self.min_card: int | None = None
+
+    def __len__(self) -> int:
+        return self.edges
+
+    def rows(self) -> list[tuple]:
+        """Per-edge records ``(round, degree, entry_port, curcard)`` —
+        what :func:`move` would have observed on each arrival."""
+        rows: list[tuple] = []
+        for obs in self.pieces:
+            if type(obs) is WalkObservation:
+                rows.extend(obs.walked)
+            else:
+                rows.append(
+                    (obs.round, obs.degree, obs.entry_port, obs.curcard)
+                )
+        return rows
+
+    def entries(self) -> list[int]:
+        """The entry port of every edge walked, in order."""
+        return [row[2] for row in self.rows()]
+
+    def backtrack(self, cut: int | None = None) -> tuple[int, ...]:
+        """The plan retracing the walk: its entry ports, reversed, as
+        absolute steps — only the first ``cut`` of them when given.
+
+        A walk that ran as pieces of one route (on a ``Chase`` offsets
+        follow plan positions, so such pieces are contiguous) takes the
+        plan from a memo on the route, so a repeated tour costs no
+        copying or hashing and hands the route cache the same plan
+        object every time.  Other walks build and intern the plan.
+        """
+        if cut is not None and cut >= self.edges:
+            cut = None
+        pieces = self.pieces
+        if pieces and type(pieces[0]) is WalkObservation:
+            first = pieces[0]
+            route = first.route
+            end = first.offset + first.edges
+            for obs in pieces[1:]:
+                if type(obs) is not WalkObservation or obs.route is not route:
+                    break
+                end += obs.edges
+            else:
+                return _route_backtrack(route, first.offset, end, cut)
+        plan = tuple(reversed(self.entries()))
+        return intern_plan(plan if cut is None else plan[:cut])
+
+
+def _route_backtrack(route, start: int, end: int, cut: int | None) -> tuple:
+    """The interned reverse of ``route.entries[start:end]``, cut to its
+    first ``cut`` steps.
+
+    Only whole reverses are memoized on the route: a cut one (the last
+    slot of a ``TZ`` stream) is sliced and interned each time, so the
+    memo holds one plan per walk span, not one per cut length.
+    """
+    memo = route.backtracks
+    if memo is None:
+        memo = route.backtracks = {}
+    key = (start, end)
+    plan = memo.get(key)
+    if plan is None:
+        plan = tuple(reversed(route.entries[start:end]))
+        plan = memo[key] = intern_plan(plan)
+    return plan if cut is None else intern_plan(plan[:cut])
+
+
 def walk(
     ctx: AgentContext,
     steps,
@@ -165,10 +251,11 @@ def walk(
     loops until the whole plan has run, so agent code sees exactly the
     per-edge history of the per-step model.
 
-    Returns a list of per-edge records ``(round, degree, entry_port,
-    curcard)`` — what :func:`move` would have observed on each arrival.
-    Raises :class:`WatchTriggered` on the first arrival whose CurCard
-    fires ``watch``, after recording that edge (like :func:`move`).
+    Returns a :class:`Walked`: the walk's minimum CurCard, and what it
+    walked (per-edge records, entry ports or the backtrack plan on
+    request).  Raises :class:`WatchTriggered` on the first arrival
+    whose CurCard fires ``watch``, after recording that edge (like
+    :func:`move`).
 
     With ``stop_before_invalid`` the walk ends quietly *before* the
     first absolute step that is not a valid port of the current node
@@ -177,7 +264,9 @@ def walk(
     bad ``move``.
     """
     steps = tuple(steps)
-    trace: list[tuple[int, int, int, int]] = []
+    walked = Walked()
+    pieces = walked.pieces
+    low = None
     entry: int | None = None  # UXS rule state along the walk
     i = 0
     total = len(steps)
@@ -185,79 +274,31 @@ def walk(
         degree = ctx.degree()
         port = resolve_walk_step(steps[i], entry, degree)
         if stop_before_invalid and (port < 0 or port >= degree):
-            return trace
+            break
         obs = yield (WALK, port, steps, i, watch)
         ctx.obs = obs
-        walked = getattr(obs, "walked", None)
-        if walked is None:
+        pieces.append(obs)
+        if type(obs) is WalkObservation:
+            # Fast path: a whole segment ran as one event.
+            card = obs.min_card()
+            i += obs.edges
+            if ctx.entries_log is not None:
+                ctx.entries_log.extend(obs.entries())
+        else:
             # Slow path: the scheduler executed exactly one edge with
             # the ordinary simultaneous-move machinery.
-            entry = obs.entry_port
-            trace.append((obs.round, obs.degree, entry, obs.curcard))
-            if ctx.entries_log is not None:
-                ctx.entries_log.append(entry)
+            card = obs.curcard
             i += 1
-        else:
-            # Fast path: a whole segment ran as one event.
-            trace.extend(walked)
             if ctx.entries_log is not None:
-                ctx.entries_log.extend(rec[2] for rec in walked)
-            entry = walked[-1][2]
-            i += len(walked)
+                ctx.entries_log.append(obs.entry_port)
+        entry = obs.entry_port
+        if low is None or card < low:
+            low = card
         if watch is not None and watch_hit(watch, obs.curcard):
             raise WatchTriggered(obs)
-    return trace
-
-
-def walk_cols(
-    ctx: AgentContext,
-    steps,
-    watch: Watch | None = None,
-) -> AgentGen:
-    """:func:`walk`, returning column lists instead of row tuples.
-
-    Returns ``(entries, degrees, curcards)`` — the per-edge history as
-    three parallel lists.  Same op stream, same watch semantics and
-    same scheduler-visible behavior as :func:`walk`; walk-dominated
-    algorithms (``EXPLO``) use this to reduce whole segments with C
-    primitives (``min``, slicing) instead of scanning row tuples.
-    """
-    steps = tuple(steps)
-    ents: list[int] = []
-    degs: list[int] = []
-    cards: list[int] = []
-    entry: int | None = None  # UXS rule state along the walk
-    i = 0
-    total = len(steps)
-    entries_log = ctx.entries_log
-    while i < total:
-        degree = ctx.degree()
-        port = resolve_walk_step(steps[i], entry, degree)
-        obs = yield (WALK, port, steps, i, watch)
-        ctx.obs = obs
-        cols = getattr(obs, "walked_cols", None)
-        if cols is None:
-            # Slow path: exactly one edge via the ordinary machinery.
-            entry = obs.entry_port
-            ents.append(entry)
-            degs.append(obs.degree)
-            cards.append(obs.curcard)
-            if entries_log is not None:
-                entries_log.append(entry)
-            i += 1
-        else:
-            # Fast path: a whole segment ran as one event.
-            _rounds, cdegs, cents, ccards = cols
-            ents.extend(cents)
-            degs.extend(cdegs)
-            cards.extend(ccards)
-            if entries_log is not None:
-                entries_log.extend(cents)
-            entry = ents[-1]
-            i += len(cents)
-        if watch is not None and watch_hit(watch, obs.curcard):
-            raise WatchTriggered(obs)
-    return ents, degs, cards
+    walked.edges = i
+    walked.min_card = low
+    return walked
 
 
 def paced_walk(

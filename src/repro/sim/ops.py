@@ -42,6 +42,7 @@ whenever the occupancy of the waiting agent's node changes.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable
 
 # Op kind tags (tuples keep the hot path allocation-light).
@@ -151,6 +152,11 @@ def iter_walk(graph, start: int, steps, entry: int | None = None):
         yield port, node, entry
 
 
+def _arrivals(stalled: dict[int, int], m: int) -> list[int]:
+    """Route indices ``1 .. m`` at which a walker with these stalls arrives."""
+    return [t for t in range(1, m + 1) if t - 1 not in stalled]
+
+
 class Observation:
     """What an agent perceives in one round.
 
@@ -199,22 +205,28 @@ class Observation:
 class WalkObservation(Observation):
     """Observation delivered at the end of a fast-path walk segment.
 
-    ``walked`` holds one record per edge of the segment, each the
-    ``(round, degree, entry_port, curcard)`` the agent *would* have
-    observed under per-edge execution; the inherited fields describe
-    the final arrival (and duplicate the last record).  The ``walk``
-    helper in :mod:`repro.sim.agent` replays ``walked`` into the
-    agent-side bookkeeping, so algorithm code sees per-edge history
-    bit-for-bit identical to the per-step model.
+    The segment arrives *by reference*, not as per-edge lists: the
+    walker's ``edges`` arrivals are described by
+    ``route.entries[offset:offset + edges]`` and the same span of
+    ``route.degrees`` (a :class:`repro.sim.scheduler.Route` — the route
+    cache's shared ``Chase`` on static edges), and its CurCard is
+    ``size`` at every arrival except the arrival indices listed in
+    ``extra``, where ``extra[i]`` agents (always positive) are added.
+    ``stalls`` maps the walker's stall rounds (offsets from the
+    segment's first round) to ports, or is ``None``; a stall round has
+    no arrival.  A stationary ``observe`` member gets ``route=None``:
+    one "arrival" per round, at its own node.  The inherited fields
+    describe the final arrival.
 
-    The scheduler hands the history over as *columns* — equal-length
-    sequences of rounds, degrees, entry ports and CurCards — because
-    walk-dominated algorithms (``EXPLO``) reduce them wholesale and
-    never look at row tuples; ``walked`` zips the rows on first access
-    for everyone else.
+    Walk-dominated algorithms (``EXPLO``) read only :meth:`min_card`
+    and the route itself; ``walked`` builds the per-edge records
+    ``(round, degree, entry_port, curcard)`` the agent *would* have
+    observed under per-edge execution on first access, for everyone
+    else.
     """
 
-    __slots__ = ("walked_cols", "_walked")
+    __slots__ = ("route", "offset", "edges", "size", "extra", "stalls",
+                 "_walked")
 
     def __init__(
         self,
@@ -223,17 +235,51 @@ class WalkObservation(Observation):
         entry_port: int | None,
         curcard: int,
         triggered: bool,
-        walked_cols: tuple,
+        segment: tuple,
     ) -> None:
         super().__init__(round, degree, entry_port, curcard, triggered)
-        self.walked_cols = walked_cols
+        (self.route, self.offset, self.edges, self.size, self.extra,
+         self.stalls) = segment
         self._walked: list | None = None
+
+    def min_card(self) -> int:
+        """The smallest CurCard over the segment's arrivals."""
+        extra = self.extra
+        if len(extra) < self.edges:
+            return self.size  # some arrival is no exception
+        return self.size + min(extra.values())
+
+    def entries(self) -> list:
+        """Entry port of every arrival (``None`` for an observer)."""
+        if self.route is None:
+            return [None] * self.edges
+        off = self.offset
+        return self.route.entries[off:off + self.edges]
 
     @property
     def walked(self) -> list:
         rows = self._walked
         if rows is None:
-            rows = self._walked = list(zip(*self.walked_cols))
+            edges = self.edges
+            end = self.round
+            stalls = self.stalls
+            if stalls is None:
+                rounds = range(end - edges + 1, end + 1)
+            else:
+                m = edges + len(stalls)
+                rounds = [end - m + t for t in _arrivals(stalls, m)]
+            cards = [self.size] * edges
+            for i, more in self.extra.items():
+                cards[i] += more
+            route = self.route
+            if route is None:
+                degrees = repeat(self.degree)
+            else:
+                off = self.offset
+                degrees = route.degrees[off:off + edges]
+            rows = self._walked = list(
+                zip(rounds, degrees, self.entries(), cards)
+            )
         return rows
 
 

@@ -74,9 +74,12 @@ Two planners exist — :func:`repro.sim.segments.plan_segment`, which
 computes CurCards by exception on cached routes and plans every
 static-edge run, and the scalar :meth:`Simulation._plan_segment` —
 with one contract: both start from :meth:`Simulation._segment_horizon`
-and return a :class:`SegmentPlan` cut to the joint length, which one
-method, :meth:`Simulation._apply_segment`, commits.  Only the scalar
-planner runs on dynamic-edge runs, so only it plans stalls.
+and return a :class:`SegmentPlan` of the joint length whose walkers
+are references into a :class:`Route`, which one method,
+:meth:`Simulation._apply_segment`, commits.  The agent is resumed with
+the reference; per-edge lists are built only for whoever reads them.
+Only the scalar planner runs on dynamic-edge runs, so only it plans
+stalls.
 
 Paced walks
 -----------
@@ -115,7 +118,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from itertools import repeat
+from itertools import compress
 from operator import and_, eq
 from typing import Callable, Iterable
 
@@ -135,6 +138,7 @@ from ..graphs.port_graph import PortGraph
 from .agent import AgentContext
 from .ops import (
     _WATCH_PREDICATES,
+    _arrivals,
     BudgetExceededError,
     DeadlockError,
     DECLARE,
@@ -329,21 +333,69 @@ class SimulationResult:
         )
 
 
-def _arrivals(stalled: dict[int, int], m: int) -> list[int]:
-    """Route indices ``1 .. m`` at which a walker with these stalls arrives."""
-    return [t for t in range(1, m + 1) if t - 1 not in stalled]
+def _arrival_index(arrived, t: int) -> int | None:
+    """Index of route index ``t`` in ascending ``arrived`` (``None``
+    when the walker stalls in that round)."""
+    i = bisect_left(arrived, t)
+    return i if i < len(arrived) and arrived[i] == t else None
+
+
+def _first_fire(watch, k: int, extra: dict[int, int], m: int) -> int:
+    """First arrival index below ``m`` whose CurCard fires ``watch``
+    (``m`` when none does): CurCard is ``k`` except at ``extra``."""
+    hit = _WATCH_PREDICATES[watch[0]]
+    value = watch[1]
+    if hit(k, value):
+        # Fires at the first arrival that is no exception, unless an
+        # exception before it fires or every arrival is one.
+        i = 0
+        while i in extra and not hit(k + extra[i], value):
+            i += 1
+        return i
+    first = m
+    for i, more in extra.items():
+        if i < first and hit(k + more, value):
+            first = i
+    return first
+
+
+class Route:
+    """A planned walk route, as parallel Python lists.
+
+    ``nodes[j + 1]`` is where the walker is after ``nodes[j]``, one
+    round later; ``entries[j]`` and ``degrees[j]`` describe the
+    walker's ``j``-th arrival.  A walker planned from ``offset`` over
+    ``m`` rounds, ``edges`` of them arrivals, walked ``nodes[offset:
+    offset + m + 1]`` and arrived as ``entries[offset:offset +
+    edges]`` — on the static planner's shared
+    :class:`repro.sim.segments.Chase` any offset, on the scalar
+    planner's one-off routes (which repeat a node in each stall round)
+    offset 0.  ``backtracks`` is the agent side's memo of reverse
+    plans (see :meth:`repro.sim.agent.Walked.backtrack`).
+    """
+
+    __slots__ = ("nodes", "entries", "degrees", "backtracks")
+
+    def __init__(self, nodes, entries, degrees) -> None:
+        self.nodes = nodes
+        self.entries = entries
+        self.degrees = degrees
+        self.backtracks: dict | None = None
 
 
 class SegmentPlan:
     """A planned walk segment, the one output of both segment planners.
 
-    ``m`` is the segment length in rounds.  ``walkers[w]`` is ``(nodes,
-    entries, degrees, curcards)`` for the w-th walker as plain Python
-    lists cut to ``m``: ``nodes`` is the route ``[v_0 .. v_m]`` and the
-    other three describe the walker's arrivals.  Walkers in one
-    identical state may share these lists, so they are read-only.
-    ``observer_cards[o]`` is the per-round CurCard trace of the o-th
-    observer.
+    ``m`` is the segment length in rounds.  ``walkers[w]`` is ``(route,
+    offset, size, extra)`` for the w-th walker: the walker's rounds
+    are ``route.nodes[offset:offset + m + 1]`` of a :class:`Route`,
+    and its CurCard is ``size`` on every arrival except the arrival
+    indices in ``extra``, where ``extra[i]`` (positive) agents are
+    added.  ``extra`` holds no index past the walker's last arrival.
+    Walkers in one identical state share the route and ``extra``, so
+    both are read-only.  ``observer_cards[o]`` is ``(size, extra)`` for
+    the o-th observer: its CurCard in each of the ``m`` rounds, by
+    exception too.
     ``watch_fired`` marks a segment whose last edge fires a walk watch
     — the walk helper will raise :class:`WatchTriggered` at the resume.
 
@@ -656,14 +708,23 @@ class Simulation:
     # ------------------------------------------------------------------
 
     def run(self) -> SimulationResult:
-        """Execute until every agent terminates."""
+        """Execute until every agent terminates.
+
+        With a metrics registry attached, the counters are flushed once
+        the loop ends, also when it raises: a failed run counts its
+        events and segments, and counts in ``sim.runs.failed`` instead
+        of ``sim.runs``.
+        """
         if self._mx is None:
             while self._active > 0:
                 self.step_round()
             return self.result()
-        with self._mx.timer("sim.wall_seconds"):
-            while self._active > 0:
-                self.step_round()
+        try:
+            with self._mx.timer("sim.wall_seconds"):
+                while self._active > 0:
+                    self.step_round()
+        finally:
+            self._flush_metrics()
         return self.result()
 
     def next_event_round(self) -> int | None:
@@ -773,38 +834,46 @@ class Simulation:
                 total_moves=total_moves,
                 gathered=result.gathered(),
             ))
-        if self._mx is not None and not self._metrics_flushed:
-            # One aggregated flush per simulation: the per-event hot
-            # path never touches the registry.  Round counts are
-            # deliberately not recorded (exact big ints; see
-            # docs/observability.md).
-            self._metrics_flushed = True
-            mx = self._mx
-            mx.counter("sim.runs").value += 1
-            mx.counter("sim.events").value += self._events
-            mx.counter("sim.walk.segments").value += self._c_segments.value
-            mx.counter("sim.walk.segment_edges").value += (
-                self._c_segment_edges.value
-            )
-            mx.counter("sim.watch.fires").value += self._c_watch_fires.value
-            if self._c_paced_batches.value:
-                mx.counter("sim.paced.batches").value += (
-                    self._c_paced_batches.value
-                )
-                mx.counter("sim.paced.edges").value += (
-                    self._c_paced_edges.value
-                )
-            if self._c_faults.value:
-                mx.counter("sim.faults.injected").value += (
-                    self._c_faults.value
-                )
-            if self.timed_out:
-                mx.counter("sim.faults.timeouts").value += 1
-            if self._c_edges_blocked.value:
-                mx.counter("sim.edges.blocked").value += (
-                    self._c_edges_blocked.value
-                )
+        if self._mx is not None:
+            self._flush_metrics()
         return result
+
+    def _flush_metrics(self) -> None:
+        """Fold this simulation's counters into the attached registry,
+        once.  A run that has not finished (its loop raised) counts in
+        ``sim.runs.failed``, a finished one in ``sim.runs``."""
+        if self._metrics_flushed:
+            return
+        # One aggregated flush per simulation: the per-event hot path
+        # never touches the registry.  Round counts are deliberately
+        # not recorded (exact big ints; see docs/observability.md).
+        self._metrics_flushed = True
+        mx = self._mx
+        name = "sim.runs" if self._active == 0 else "sim.runs.failed"
+        mx.counter(name).value += 1
+        mx.counter("sim.events").value += self._events
+        mx.counter("sim.walk.segments").value += self._c_segments.value
+        mx.counter("sim.walk.segment_edges").value += (
+            self._c_segment_edges.value
+        )
+        mx.counter("sim.watch.fires").value += self._c_watch_fires.value
+        if self._c_paced_batches.value:
+            mx.counter("sim.paced.batches").value += (
+                self._c_paced_batches.value
+            )
+            mx.counter("sim.paced.edges").value += (
+                self._c_paced_edges.value
+            )
+        if self._c_faults.value:
+            mx.counter("sim.faults.injected").value += (
+                self._c_faults.value
+            )
+        if self.timed_out:
+            mx.counter("sim.faults.timeouts").value += 1
+        if self._c_edges_blocked.value:
+            mx.counter("sim.edges.blocked").value += (
+                self._c_edges_blocked.value
+            )
 
     def step_round(self) -> None:
         """Drain and execute exactly one event-round."""
@@ -1173,7 +1242,11 @@ class Simulation:
         return self._last_change[node]
 
     def _log_segment(self, round_: int, m: int, routes: list) -> None:
-        """Defer a segment's ``last_change`` updates to the next read."""
+        """Defer a segment's ``last_change`` updates to the next read.
+
+        ``routes`` holds one ``(nodes, offset)`` per walker: its rounds
+        are ``nodes[offset:offset + m + 1]``.
+        """
         pending = self._pending_segments
         pending.append((round_, m, routes))
         if len(pending) >= _PENDING_SEGMENTS_CAP:
@@ -1198,8 +1271,8 @@ class Simulation:
                 break
             for t in range(m - 1, -1, -1):
                 deltas: dict[int, int] = {}
-                for route in routes:
-                    src, dst = route[t], route[t + 1]
+                for nodes, off in routes:
+                    src, dst = nodes[off + t], nodes[off + t + 1]
                     if src != dst:
                         deltas[src] = deltas.get(src, 0) - 1
                         deltas[dst] = deltas.get(dst, 0) + 1
@@ -1439,103 +1512,37 @@ class Simulation:
                 routes.append(route)
                 entries.append(ents)
                 degrees.append(degs)
-            # Pass 2 — exact CurCard per arrival (statics + cohort
-            # co-location), truncating at the first firing walk watch.
-            # Watch predicates are resolved once per walker, with the
-            # CurCard-1 verdict precomputed (the overwhelmingly common
-            # cardinality on walk-dominated runs).
-            if len(walks) == 1:
-                route = routes[0]
-                watch = walks[0][4]
-                arrived = (
-                    range(1, m + 1) if stalls is None
-                    else _arrivals(stalls[0], m)
-                )
-                cards = [counts[route[t]] + 1 for t in arrived]
+            # Pass 2 — exact CurCard per arrival, by exception: each
+            # walker is a group of one whose arrival adds the static
+            # occupancy of its node and every other walker there that
+            # round (a stalled one included).  The first firing walk
+            # watch cuts the segment.
+            walkers = range(len(walks))
+            arrived = [
+                range(1, m + 1) if stalls is None or not stalls[w]
+                else _arrivals(stalls[w], m)
+                for w in walkers
+            ]
+            extras = [
+                {i: c for i, t in enumerate(arrived[w])
+                 if (c := counts[routes[w][t]])}
+                for w in walkers
+            ]
+            for w in walkers:
+                for x in range(w + 1, len(walks)):
+                    for t in compress(range(1, m + 1), map(
+                        eq, routes[w][1:m + 1], routes[x][1:m + 1]
+                    )):
+                        for y in (w, x):
+                            i = _arrival_index(arrived[y], t)
+                            if i is not None:
+                                extras[y][i] = extras[y].get(i, 0) + 1
+            for w, (_idx, _head, _steps, _pos, watch) in enumerate(walks):
                 if watch is not None:
-                    hit = _WATCH_PREDICATES[watch[0]]
-                    value = watch[1]
-                    hit1 = hit(1, value)
-                    for k, card in enumerate(cards):
-                        if hit1 if card == 1 else hit(card, value):
-                            m = arrived[k]  # the firing edge is the last
-                            watch_fired = True
-                            del cards[k + 1:]
-                            break
-                curcards = [cards]
-            elif len(walks) == 2 and stalls is None:
-                # The dominant cohort: a pair — either a merged group
-                # touring in lockstep or two groups exploring in
-                # parallel.  No per-round allocation.
-                route_a, route_b = routes
-                watch_a, watch_b = walks[0][4], walks[1][4]
-                if watch_a is not None:
-                    hit_a = _WATCH_PREDICATES[watch_a[0]]
-                    val_a = watch_a[1]
-                    hit1_a = hit_a(1, val_a)
-                else:
-                    hit_a = None
-                    val_a = 0
-                    hit1_a = False
-                if watch_b is not None:
-                    hit_b = _WATCH_PREDICATES[watch_b[0]]
-                    val_b = watch_b[1]
-                    hit1_b = hit_b(1, val_b)
-                else:
-                    hit_b = None
-                    val_b = 0
-                    hit1_b = False
-                cards_a: list[int] = []
-                cards_b: list[int] = []
-                for t in range(1, m + 1):
-                    va = route_a[t]
-                    vb = route_b[t]
-                    if va == vb:
-                        card_a = card_b = counts[va] + 2
-                    else:
-                        card_a = counts[va] + 1
-                        card_b = counts[vb] + 1
-                    cards_a.append(card_a)
-                    cards_b.append(card_b)
-                    fired_a = (
-                        hit1_a
-                        if card_a == 1
-                        else hit_a is not None and hit_a(card_a, val_a)
-                    )
-                    fired_b = (
-                        hit1_b
-                        if card_b == 1
-                        else hit_b is not None and hit_b(card_b, val_b)
-                    )
-                    if fired_a or fired_b:
-                        m = t  # the firing edge is the segment's last
+                    i = _first_fire(watch, 1, extras[w], len(arrived[w]))
+                    if i < len(arrived[w]) and arrived[w][i] <= m:
+                        m = arrived[w][i]  # the firing edge is the last
                         watch_fired = True
-                        break
-                curcards = [cards_a, cards_b]
-            else:
-                # A larger cohort, or a pair with stalls: a stalled
-                # walker has no arrival in its stall rounds, but its
-                # route still counts in the round's occupancy.
-                skips = [()] * len(walks) if stalls is None else stalls
-                curcards = [[] for _ in walks]
-                for t in range(1, m + 1):
-                    occ: dict[int, int] = {}
-                    for route in routes:
-                        v = route[t]
-                        occ[v] = occ.get(v, 0) + 1
-                    for w, (_idx, _head, _steps, _pos, watch) in enumerate(
-                        walks
-                    ):
-                        if t - 1 in skips[w]:
-                            continue
-                        v = routes[w][t]
-                        card = counts[v] + occ[v]
-                        curcards[w].append(card)
-                        if watch is not None and watch_hit(watch, card):
-                            watch_fired = True
-                    if watch_fired:
-                        m = t  # the firing edge is the segment's last
-                        break
             if stalls is not None:
                 # No walker stalls in the last round: its next step
                 # there is a retry, not a resume.  Ending earlier also
@@ -1549,8 +1556,9 @@ class Simulation:
         finally:
             for idx, _head, _steps, _pos, _watch in walks:
                 counts[self._pos[idx]] += 1
-        for w, (route, ents, degs, cards) in enumerate(
-            zip(routes, entries, degrees, curcards)
+        plan = []
+        for w, (route, ents, degs, extra) in enumerate(
+            zip(routes, entries, degrees, extras)
         ):
             del route[m + 1:]
             arrivals = m
@@ -1561,11 +1569,11 @@ class Simulation:
                 arrivals -= len(kept)
             del ents[arrivals:]
             del degs[arrivals:]
-            del cards[arrivals:]
+            extra = {i: c for i, c in extra.items() if i < arrivals}
+            plan.append((Route(route, ents, degs), 0, 1, extra))
         if stalls is not None and not any(stalls):
             stalls = None
-        walkers = list(zip(routes, entries, degrees, curcards))
-        return SegmentPlan(m, walkers, [], watch_fired, stalls)
+        return SegmentPlan(m, plan, [], watch_fired, stalls)
 
     def _apply_segment(
         self,
@@ -1581,61 +1589,58 @@ class Simulation:
         blocked moves, (in trace mode) per-edge ``move_log`` entries,
         and a log entry from which ``last_change`` is resolved on read
         — then schedules each member's next resume at ``round_ + m``
-        with its per-edge observation history attached.  A stall round
-        costs its walker an event like any other round (a retry does)
-        but adds no arrival.  An observer neither moves nor changes any
-        occupancy: it receives the per-round CurCard trace of its node,
-        exactly as ``m`` one-round observations would.
+        with a reference to its segment attached (a
+        :class:`~repro.sim.ops.WalkObservation` is built from it at the
+        resume).  A stall round costs its walker an event like any
+        other round (a retry does) but adds no arrival.  An observer
+        neither moves nor changes any occupancy: it receives the
+        per-round CurCard trace of its node, exactly as ``m`` one-round
+        observations would.
         """
         counts = self._counts
+        pos = self._pos
         m = plan.m
         end_round = round_ + m
-        obs_rounds = range(round_ + 1, end_round + 1)
         stalls = plan.stalls
         self._c_segments.value += 1
         if plan.watch_fired:
             # The segment's last edge fires a walk watch: the walk
             # helper raises WatchTriggered at the resume.
             self._c_watch_fires.value += 1
-        edges = 0
-        for w, (idx, _head, _steps, _pos, _watch) in enumerate(walks):
-            nodes, ents, degs, cards = plan.walkers[w]
-            counts[nodes[0]] -= 1
-            counts[nodes[m]] += 1
-            self._pos[idx] = nodes[m]
-            self._entry_port[idx] = ents[-1]
-            self._outcomes[idx].moves += len(ents)
-            edges += len(ents)
-            rounds = obs_rounds
+        walkers = plan.walkers
+        total = 0
+        for w, walk in enumerate(walks):
+            idx = walk[0]
+            route, off, size, extra = walkers[w]
+            edges = m
+            stalled = None
             if stalls is not None and stalls[w]:
-                rounds = [round_ + t for t in _arrivals(stalls[w], m)]
-                self._c_edges_blocked.value += len(stalls[w])
-            self._walk_trace[idx] = (rounds, degs, ents, cards)
+                stalled = stalls[w]
+                edges -= len(stalled)
+                self._c_edges_blocked.value += len(stalled)
+            nodes = route.nodes
+            counts[nodes[off]] -= 1
+            end = pos[idx] = nodes[off + m]
+            counts[end] += 1
+            self._entry_port[idx] = route.entries[off + edges - 1]
+            self._outcomes[idx].moves += edges
+            total += edges
+            self._walk_trace[idx] = (route, off, edges, size, extra, stalled)
             self._push(end_round, idx)
-        self._c_segment_edges.value += edges
+        self._c_segment_edges.value += total
         for o, (idx, _remaining) in enumerate(observes):
-            cards = plan.observer_cards[o]
-            degree = self.graph.degree(self._pos[idx])
-            # Constant columns as repeat(): zip stops at the cards.
-            self._walk_trace[idx] = (
-                obs_rounds, repeat(degree), repeat(None), cards
-            )
+            size, extra = plan.observer_cards[o]
+            self._walk_trace[idx] = (None, 0, m, size, extra, None)
             self._push(end_round, idx)
         # Virtual per-edge/per-round resumes: byte-compatible events.
         self._events += (len(walks) + len(observes)) * (m - 1)
-        routes = [walker[0] for walker in plan.walkers]
         if walks:  # observers alone change no occupancy
+            routes = [(walker[0].nodes, walker[1]) for walker in walkers]
             self._log_segment(round_, m, routes)
             if self.trace:
                 self._trace_segment(walks, round_, m, routes, stalls)
         if self._emit is not None:
-            self._emit_segment(
-                walks, round_, m,
-                [tuple(route) for route in routes],
-                [walker[3][-1] for walker in plan.walkers],
-                tuple(idx for idx, _remaining in observes),
-                stalls,
-            )
+            self._emit_segment(walks, observes, round_, plan)
 
     def _trace_segment(self, walks, round_, m, routes, stalls) -> None:
         """Expand a segment into per-edge ``move_log`` entries."""
@@ -1645,14 +1650,13 @@ class Simulation:
             for w in order:
                 if t in skips[w]:
                     continue  # a stall moves nothing
-                route = routes[w]
+                nodes, off = routes[w]
                 self.move_log.append(
-                    (round_ + t, walks[w][0], route[t], route[t + 1])
+                    (round_ + t, walks[w][0], nodes[off + t],
+                     nodes[off + t + 1])
                 )
 
-    def _emit_segment(
-        self, walks, round_, m, routes, final_cards, observers, stalls
-    ) -> None:
+    def _emit_segment(self, walks, observes, round_, plan) -> None:
         """Emit one :class:`WalkSegment`, its stalls and any walk watch.
 
         Each stall round follows the segment as the
@@ -1664,12 +1668,18 @@ class Simulation:
         raises ``WatchTriggered`` when replaying the history.
         """
         emit = self._emit
+        m = plan.m
+        stalls = plan.stalls
+        routes = [
+            tuple(route.nodes[off:off + m + 1])
+            for route, off, _size, _extra in plan.walkers
+        ]
         emit.emit(_EvWalkSegment(
             round=round_,
             length=m,
             walkers=tuple(idx for idx, _h, _s, _p, _w in walks),
             routes=tuple(routes),
-            observers=observers,
+            observers=tuple(idx for idx, _remaining in observes),
         ))
         if stalls is not None:
             blocked = sorted(
@@ -1682,12 +1692,17 @@ class Simulation:
                     round=round_ + t, agent=idx, node=node, port=port
                 ))
         for w, (idx, _head, _steps, _pos, watch) in enumerate(walks):
-            if watch is not None and watch_hit(watch, final_cards[w]):
+            if watch is None:
+                continue
+            _route, _off, size, extra = plan.walkers[w]
+            last = m - 1 if stalls is None else m - 1 - len(stalls[w])
+            card = size + extra.get(last, 0)
+            if watch_hit(watch, card):
                 emit.emit(_EvWatchFired(
                     round=round_ + m,
                     agent=idx,
                     node=routes[w][m],
-                    count=final_cards[w],
+                    count=card,
                 ))
 
     # ------------------------------------------------------------------

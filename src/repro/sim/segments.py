@@ -5,18 +5,20 @@ binds; the other is the scalar ``Simulation._plan_segment``, which
 runs on dynamic-edge runs because only it plans stalls.  Both share
 one contract: ``(sim, walks, observes, round_) -> SegmentPlan | None``,
 starting from the same ``Simulation._segment_horizon`` bound and
-returning a :class:`~repro.sim.scheduler.SegmentPlan` whose
-per-walker lists are cut to the final joint length ``m``.  One
-scheduler method, ``Simulation._apply_segment``, commits either
-planner's plan, and the differential suite holds both to
-:mod:`repro.sim.reference`.
+returning a :class:`~repro.sim.scheduler.SegmentPlan` of the final
+joint length ``m`` whose walkers are references ``(route, offset,
+size, extra)``.  One scheduler method, ``Simulation._apply_segment``,
+commits either planner's plan, and the differential suite holds both
+to :mod:`repro.sim.reference`.
 
 Routes are pure functions of ``(graph, plan, position in plan, node,
 exit port)``, so a :class:`RouteCache` chases each distinct start
 state once and keeps the :class:`Chase` as Python lists.  The
 continuation from any state along a chase is a suffix of it: a lookup
 returns the chase that passed through the state and the state's
-offset in it, and a planned route is a list slice of the chase.
+offset in it, and a planned walker is that chase and offset — no list
+is sliced or copied.  Caches are shared per port structure
+(:func:`route_cache_for`).
 
 :func:`plan_segment` computes CurCards by exception.  In the weak
 model an agent observes only the number of agents at its node, and
@@ -24,38 +26,39 @@ along a segment that number is the walking group's size at every
 arrival (walkers in one identical state share one route), except
 where the route meets a standing agent or another group.  Standing
 agents are found by bisecting each chase's per-node visit index;
-meetings of two groups by comparing their route slices.  Walk watches
-are evaluated at the group's size and at the exception rounds only,
-so a plan costs its interactions and a few list slices, not a Python
-step per edge.  Cached routes know nothing about per-round edge
-liveness, which is why stalls need the scalar planner.
-``last_change`` is not the planner's concern: the scheduler logs the
-routes of every segment and resolves them only when a stability wait
-reads a node.  This planner also understands stationary ``observe``
-cohort members (see :mod:`repro.sim.ops`), which is what lets
-``StarCheck``'s waiters share a segment with the dancing agent; the
-scalar planner declines cohorts with observers.
+meetings of two groups by comparing their routes, memoized on the
+chase per pair of walk starts.  Walk watches are evaluated at the
+group's size and at the exception rounds only, so a plan costs its
+interactions, not a Python step per edge.  Cached routes know nothing
+about per-round edge liveness, which is why stalls need the scalar
+planner.  ``last_change`` is not the planner's concern: the scheduler
+logs the routes of every segment and resolves them only when a
+stability wait reads a node.  This planner also understands
+stationary ``observe`` cohort members (see :mod:`repro.sim.ops`),
+which is what lets ``StarCheck``'s waiters share a segment with the
+dancing agent; the scalar planner declines cohorts with observers.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from itertools import compress
+from itertools import compress, count
 from operator import eq
 
 from ..graphs.port_graph import PortGraph
-from .ops import _WATCH_PREDICATES
-from .scheduler import SegmentPlan, Simulation
+from .scheduler import Route, SegmentPlan, Simulation, _first_fire
 
 _NO_VISITS: list[int] = []
+# Chase serials: unique for the process, so memo keys never collide.
+_SERIALS = count()
 
 
 # ----------------------------------------------------------------------
 # Route cache: chased walk routes keyed by plan identity.
 # ----------------------------------------------------------------------
 
-class Chase:
+class Chase(Route):
     """One chased route of a walk plan, as parallel Python lists.
 
     ``nodes[j]`` is the node at plan position ``pos + j`` and
@@ -64,9 +67,15 @@ class Chase:
     ends at the plan's end or just before the first invalid absolute
     step, exactly like the scalar planner's walk-out, so ``ports``,
     ``entries`` and ``degrees`` hold one item per edge.
+
+    Besides its lists a chase carries three memos, all built on
+    demand and dropped with the chase when the route cache's LRU lets
+    go of its plan: the per-node visit index (:meth:`visits`), the
+    meetings of two walk starts (:meth:`meetings`), and the agent
+    side's reverse plans (``backtracks``, see :class:`Route`).
     """
 
-    __slots__ = ("pos", "nodes", "ports", "entries", "degrees", "_visits")
+    __slots__ = ("pos", "ports", "serial", "_visits", "_meets")
 
     def __init__(
         self,
@@ -100,12 +109,12 @@ class Chase:
             else:
                 port = (entry + ~step) % degree
             ports.append(port)
+        super().__init__(nodes, ents, degs)
         self.pos = pos
-        self.nodes = nodes
         self.ports = ports
-        self.entries = ents
-        self.degrees = degs
+        self.serial = next(_SERIALS)
         self._visits: dict[int, list[int]] | None = None
+        self._meets: dict[tuple, tuple[int, list[int]]] | None = None
 
     def visits(self, node: int) -> list[int]:
         """Ascending positions ``j`` with ``nodes[j] == node``.
@@ -123,6 +132,36 @@ class Chase:
                 else:
                     at.append(j)
         return index.get(node, _NO_VISITS)
+
+    def meetings(self, off: int, other: Chase, other_off: int, m: int):
+        """Arrival indices ``i < m`` at which the walk from ``off`` on
+        this chase and the walk from ``other_off`` on ``other`` reach
+        one node.
+
+        Memoized on the chase of the smaller serial, keyed by
+        ``(offset, other serial, other offset)`` — serials, so a memo
+        keeps no other chase alive — and computed only up to the
+        length asked: a memo at least ``m`` long answers, a shorter one
+        is recomputed.  Both routes hold ``m`` more arrivals (the
+        planner bounds ``m`` by every group's chase).
+        """
+        if other.serial < self.serial:
+            return other.meetings(other_off, self, off, m)
+        memo = self._meets
+        if memo is None:
+            memo = self._meets = {}
+        key = (off, other.serial, other_off)
+        hit = memo.get(key)
+        if hit is not None and hit[0] >= m:
+            at = hit[1]
+            return at if hit[0] == m else at[:bisect_left(at, m)]
+        at = list(compress(range(m), map(
+            eq,
+            self.nodes[off + 1:off + m + 1],
+            other.nodes[other_off + 1:other_off + m + 1],
+        )))
+        memo[key] = (m, at)
+        return at
 
 
 class _PlanRoutes:
@@ -192,23 +231,24 @@ class RouteCache:
         return pr.lookup(self.graph, pos, node, port)
 
 
-# Shared per-graph caches: trials executed on the same graph object
-# (the pipelined backend's batches) reuse chased routes automatically.
-# Keyed by id with a strong graph reference — PortGraph has no
-# __weakref__ slot — and LRU-bounded.
-_GRAPH_CACHES: OrderedDict[int, tuple[PortGraph, RouteCache]] = OrderedDict()
+# Shared per-graph caches: trials executed on graphs of one port
+# structure (the pipelined backend's batches, a search re-running a
+# scenario, a trial that rebuilds its graph) reuse chased routes and
+# their memos.  Keyed by the adjacency content — a PortGraph never
+# changes after it is built — and LRU-bounded.
+_GRAPH_CACHES: OrderedDict[tuple, RouteCache] = OrderedDict()
 _GRAPH_CACHE_CAP = 8
 
 
 def route_cache_for(graph: PortGraph) -> RouteCache:
-    """The shared :class:`RouteCache` of ``graph`` (created on demand)."""
-    key = id(graph)
-    hit = _GRAPH_CACHES.get(key)
-    if hit is not None and hit[0] is graph:
+    """The shared :class:`RouteCache` of ``graph``'s port structure
+    (created on demand)."""
+    key = tuple(map(tuple, graph._adj))
+    cache = _GRAPH_CACHES.get(key)
+    if cache is not None:
         _GRAPH_CACHES.move_to_end(key)
-        return hit[1]
-    cache = RouteCache(graph)
-    _GRAPH_CACHES[key] = (graph, cache)
+        return cache
+    cache = _GRAPH_CACHES[key] = RouteCache(graph)
     if len(_GRAPH_CACHES) > _GRAPH_CACHE_CAP:
         _GRAPH_CACHES.popitem(last=False)
     return cache
@@ -226,25 +266,6 @@ def _visits_within(chase: Chase, node: int, off: int, m: int) -> list[int]:
     hi = bisect_right(at, off + m, lo)
     start = off + 1
     return [p - start for p in at[lo:hi]]
-
-
-def _first_fire(watch, k: int, extra: dict[int, int], m: int) -> int:
-    """First arrival index below ``m`` whose CurCard fires ``watch``
-    (``m`` when none does): CurCard is ``k`` except at ``extra``."""
-    hit = _WATCH_PREDICATES[watch[0]]
-    value = watch[1]
-    if hit(k, value):
-        # Fires at the first arrival that is no exception, unless an
-        # exception before it fires or every arrival is one.
-        i = 0
-        while i in extra and not hit(k + extra[i], value):
-            i += 1
-        return i
-    first = m
-    for i, more in extra.items():
-        if i < first and hit(k + more, value):
-            first = i
-    return first
 
 
 def plan_segment(
@@ -332,17 +353,17 @@ def plan_segment(
                 extra[i] = static
         extras.append(extra)
     if len(chases) > 1:
-        # Meetings of two groups: the one step linear in the segment.
-        arrivals = [
-            chases[g].nodes[offs[g] + 1:offs[g] + m + 1] for g in groups
-        ]
+        # Meetings of two groups: the one step linear in the segment,
+        # memoized per pair of walk starts on the chases.
         for g in groups:
+            chase, off, extra_g, k_g = chases[g], offs[g], extras[g], sizes[g]
             for h in range(g + 1, len(chases)):
-                extra_g, extra_h = extras[g], extras[h]
-                k_g, k_h = sizes[g], sizes[h]
-                for i in compress(range(m), map(eq, arrivals[g], arrivals[h])):
-                    extra_g[i] = extra_g.get(i, 0) + k_h
-                    extra_h[i] = extra_h.get(i, 0) + k_g
+                meets = chase.meetings(off, chases[h], offs[h], m)
+                if meets:
+                    extra_h, k_h = extras[h], sizes[h]
+                    for i in meets:
+                        extra_g[i] = extra_g.get(i, 0) + k_h
+                        extra_h[i] = extra_h.get(i, 0) + k_g
     # The first firing walk watch ends the segment on its edge.
     watch_fired = False
     fire = m
@@ -356,30 +377,20 @@ def plan_segment(
         m = fire + 1  # the firing edge is the last
         if m < 2:
             return None
-    walkers = []
-    for g in groups:
-        cards = [sizes[g]] * m
-        for i, more in extras[g].items():
-            if i < m:
-                cards[i] += more
-        chase = chases[g]
-        off = offs[g]
-        end = off + m
-        walkers.append((
-            chase.nodes[off:end + 1],
-            chase.entries[off:end],
-            chase.degrees[off:end],
-            cards,
-        ))
-    observer_cards: list[list[int]] = []
+        extras = [
+            {i: more for i, more in extra.items() if i < m}
+            for extra in extras
+        ]
+    observer_cards: list[tuple[int, dict[int, int]]] = []
     for idx, _remaining in observes:
         u = pos_of[idx]
-        row = [counts[u] - leaving.get(u, 0)] * m
+        extra = {}
         for g in groups:
             for i in _visits_within(chases[g], u, offs[g], m):
-                row[i] += sizes[g]
-        observer_cards.append(row)
-    # Members of one group share its read-only slices.
-    return SegmentPlan(
-        m, [walkers[g] for g in member_group], observer_cards, watch_fired
-    )
+                extra[i] = extra.get(i, 0) + sizes[g]
+        observer_cards.append((counts[u] - leaving.get(u, 0), extra))
+    # Members of one group share its chase reference and exceptions.
+    walkers = [
+        (chases[g], offs[g], sizes[g], extras[g]) for g in member_group
+    ]
+    return SegmentPlan(m, walkers, observer_cards, watch_fired)

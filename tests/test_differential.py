@@ -42,6 +42,7 @@ from repro.graphs import (
 )
 from repro.core import runs
 from repro.core.runs import prepare_gather_unknown
+from repro.explore.explo import ExploStats, explo
 from repro.metrics import registry as metrics_registry
 from repro.runner import ExperimentSpec
 from repro.runner.spec import TrialSpec
@@ -59,7 +60,6 @@ from repro.sim.agent import (
     wait,
     wait_stable,
     walk,
-    walk_cols,
 )
 from repro.sim.faults import EdgeDynamics, make_dynamics
 from repro.sim.ops import resolve_walk_step
@@ -136,19 +136,45 @@ def scripted_program(script):
                         ("wait!", trig.observation.round,
                          trig.observation.curcard)
                     )
-            elif kind in ("walk", "walk_cols"):
-                # ``walk`` takes an optional fourth field,
-                # ``stop_before_invalid``; ``walk_cols`` returns columns.
-                helper = walk if kind == "walk" else walk_cols
+            elif kind in ("walk", "walk_summary"):
+                # Optional fourth field: ``stop_before_invalid``.
+                # ``walk`` logs the per-edge records; ``walk_summary``
+                # what EXPLO reads instead: the minimum CurCard and the
+                # backtrack plans (whole and cut), besides the length
+                # and the entry ports.
                 try:
-                    result = yield from helper(ctx, op[1], op[2], *op[3:])
-                    log.append((kind, tuple(map(tuple, result))))
+                    result = yield from walk(ctx, op[1], op[2], *op[3:])
+                    if kind == "walk":
+                        log.append((kind, tuple(result.rows())))
+                    else:
+                        log.append((
+                            kind, len(result), result.min_card,
+                            tuple(result.entries()), result.backtrack(),
+                            result.backtrack(len(result) // 2),
+                        ))
                 except WatchTriggered as trig:
                     log.append(
                         (kind + "!", trig.observation.round,
                          trig.observation.curcard,
                          trig.observation.entry_port)
                     )
+            elif kind in ("explo", "explo_rows"):
+                # ``("explo", plan, watch, limit)``: EXPLO of a fixed
+                # plan; ``explo_rows`` runs its per-edge definition.
+                helper = explo if kind == "explo" else explo_by_rows
+                try:
+                    stats = yield from helper(
+                        ctx, FixedPlan(op[1]), 0, op[2], op[3]
+                    )
+                    log.append(("explo", stats.min_curcard, stats.rounds,
+                                ctx.obs.round, ctx.obs.entry_port))
+                except WatchTriggered as trig:
+                    log.append(("explo!", trig.observation.round,
+                                trig.observation.curcard))
+            elif kind == "record":
+                ctx.record_entries()
+            elif kind == "recorded":
+                log.append(("recorded", tuple(ctx.stop_recording_entries())))
             elif kind in ("paced", "paced_steps"):
                 # ``("paced", steps, pace, stop_before_invalid,
                 # stop_degree)``; ``paced_steps`` runs the per-step
@@ -170,6 +196,35 @@ def scripted_program(script):
         return log
 
     return program
+
+
+class FixedPlan:
+    """A UXS provider stand-in whose EXPLO plan is one fixed tuple."""
+
+    def __init__(self, plan):
+        self.plan = plan
+
+    def walk_plan(self, n):
+        return self.plan
+
+
+def explo_by_rows(ctx, provider, n, watch=None, limit=None):
+    """The definition of :func:`explo` on per-edge rows: the minimum of
+    every CurCard read, and the backtrack built from the entry ports
+    (fresh tuples, so no plan memo is involved)."""
+    plan = provider.walk_plan(n)
+    length = len(plan)
+    total = 2 * length if limit is None else min(limit, 2 * length)
+    effective = min(length, total)
+    cards = [ctx.curcard()]
+    forward = (yield from walk(ctx, plan[:effective], watch)).rows()
+    cards.extend(rec[3] for rec in forward)
+    remaining = total - effective
+    if remaining > 0:
+        back = tuple(reversed([rec[2] for rec in forward]))[:remaining]
+        rows = (yield from walk(ctx, back, watch)).rows()
+        cards.extend(rec[3] for rec in rows)
+    return ExploStats(min(cards), total)
 
 
 def paced_by_steps(
@@ -512,7 +567,7 @@ class TestWalkSegments(_PlannerChoice):
         )
 
     # A later walker cuts the joint segment below the route already
-    # planned for an earlier one.  The earlier ``walk_cols`` walker
+    # planned for an earlier one.  The earlier ``walk_summary`` walker
     # must then resume exactly where the cut segment ended.
     RING8 = ring(8)  # nodes 0-1-2-3-4-5-6-7-0
     BOUNCE = [0, 1, 0, 7, 0, 1]
@@ -520,7 +575,7 @@ class TestWalkSegments(_PlannerChoice):
     def _later_walker_cut(self, second, third, wakes, starts):
         graph = self.RING8
         first = [
-            ("walk_cols", ports_along(graph, self.BOUNCE), None),
+            ("walk_summary", ports_along(graph, self.BOUNCE), None),
             ("wait", 10, None),
         ]
         assert_equivalent(
@@ -529,7 +584,8 @@ class TestWalkSegments(_PlannerChoice):
 
     def test_later_walker_cut_by_dormant_node(self):
         second = [
-            ("walk_cols", ports_along(self.RING8, [3, 4, 5, 6]), None),
+            ("walk_summary", ports_along(self.RING8, [3, 4, 5, 6]),
+             None),
             ("wait", 10, None),
         ]
         self._later_walker_cut(
@@ -538,7 +594,8 @@ class TestWalkSegments(_PlannerChoice):
 
     def test_later_walker_cut_by_watched_node(self):
         second = [
-            ("walk_cols", ports_along(self.RING8, [3, 4, 5, 6]), None),
+            ("walk_summary", ports_along(self.RING8, [3, 4, 5, 6]),
+             None),
             ("wait", 10, None),
         ]
         self._later_walker_cut(
@@ -558,7 +615,7 @@ class TestWalkSegments(_PlannerChoice):
         """The second walker's watch fires on meeting a plain waiter,
         after both routes were planned."""
         second = [
-            ("walk_cols", ports_along(self.RING8, [3, 4, 5, 6, 7]),
+            ("walk_summary", ports_along(self.RING8, [3, 4, 5, 6, 7]),
              ("gt", 1)),
             ("wait", 10, None),
         ]
@@ -826,7 +883,7 @@ class TestCurCardsByException(_PlannerChoice):
     where it meets a standing agent, another group or an observer's
     node.  On ring ``0-1-...-7-0`` the group gathers on node 1 in round
     0 and walks from round 1 with one shared plan object; every
-    scenario runs with ``walk`` and with ``walk_cols``."""
+    scenario runs with ``walk`` and with ``walk_summary``."""
 
     GRAPH = ring(8)
 
@@ -853,7 +910,7 @@ class TestCurCardsByException(_PlannerChoice):
         assert_equivalent(fast, ref)
         return fast[0]
 
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_standing_agent_passed_twice(self, kind, size):
         """A plain waiter on node 4 adds itself to the group's CurCard
@@ -864,7 +921,7 @@ class TestCurCardsByException(_PlannerChoice):
         sim = self.run(scripts + [[("wait", 60, None)]], starts + [4])
         assert sim.segments >= 1
 
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     @pytest.mark.parametrize("size", [1, 2])
     def test_dormant_agent_mid_route(self, kind, size):
         """The segment ends before the dormant agent's node, so the
@@ -873,7 +930,7 @@ class TestCurCardsByException(_PlannerChoice):
         dormant = [("wait", 3, None), ("move", 0, None), ("wait", 20, None)]
         self.run(scripts + [dormant], starts + [4], [0] * size + [None])
 
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     @pytest.mark.parametrize("watch", [None, ("gt", 3), ("lt", 4)])
     def test_three_identical_walkers_meet_a_fourth(self, kind, watch):
         """A group of three meets a lone walker on three successive
@@ -887,7 +944,7 @@ class TestCurCardsByException(_PlannerChoice):
         ]
         self.run(scripts + [lone], starts + [5])
 
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     @pytest.mark.parametrize("size", [1, 2])
     def test_observer_passed_twice(self, kind, size):
         """An observer on node 3 sees the group arrive twice and leave
@@ -900,7 +957,7 @@ class TestCurCardsByException(_PlannerChoice):
 
     # Watches that hold on the group's own size: they fire on the
     # first arrival, so no segment of two rounds is safe.
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     @pytest.mark.parametrize("size, watch", [
         (1, ("gt", 0)), (1, ("ne", 2)), (1, ("eq", 1)), (1, ("lt", 2)),
         (2, ("gt", 1)), (2, ("ne", 1)), (2, ("eq", 2)), (2, ("lt", 3)),
@@ -913,7 +970,7 @@ class TestCurCardsByException(_PlannerChoice):
     # A plain waiter on the first arrival's node changes the verdict
     # there: it cancels a watch that holds on the group's size (which
     # then fires on the second arrival), or it fires a ``gt`` watch.
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     @pytest.mark.parametrize("size, watch", [
         (1, ("ne", 2)), (1, ("eq", 1)), (1, ("lt", 2)),
         (2, ("ne", 3)), (2, ("eq", 2)), (2, ("lt", 3)),
@@ -926,11 +983,11 @@ class TestCurCardsByException(_PlannerChoice):
         sim = self.run(scripts + [[("wait", 40, None)]], starts + [2])
         assert sim.segments == (watch[0] != "gt")
 
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     @pytest.mark.parametrize("size", [1, 2])
     def test_route_cut_by_an_invalid_absolute_step(self, kind, size):
         """Port 2 does not exist on a ring: ``walk`` stops quietly
-        before it, ``walk_cols`` is rejected like a bad ``move``."""
+        before it, ``walk_summary`` is rejected like a bad ``move``."""
         plan = ports_along(self.GRAPH, [1, 2, 3, 4]) + (2, 0)
         extra = (True,) if kind == "walk" else ()
         scripts, starts = self.group(kind, size, plan, None, *extra)
@@ -943,7 +1000,7 @@ class TestCurCardsByException(_PlannerChoice):
     # differ in one part of the state only; their routes part.
     STAR = star_graph(5)
 
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     def test_same_plan_and_position_other_exit_port(self, kind):
         """Entered from leaves 1 and 3, the rule step ``~1`` sends the
         two walkers on to leaves 2 and 4 (where a waiter stands)."""
@@ -954,7 +1011,7 @@ class TestCurCardsByException(_PlannerChoice):
         assert_equivalent(fast, ref)
         assert fast[0].segments >= 1
 
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     def test_same_plan_and_exit_port_other_position(self, kind):
         """One walker starts the plan on the center while the other,
         one step in, is back there: both take port 0 next, then part."""
@@ -967,7 +1024,7 @@ class TestCurCardsByException(_PlannerChoice):
         assert_equivalent(fast, ref)
         assert fast[0].segments >= 1
 
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     def test_same_position_and_exit_port_other_plan(self, kind):
         """Entered from leaves 1 and 2, ``~1`` and ``~0`` both send the
         walkers to leaf 2; back on the center, their plans part."""
@@ -1099,15 +1156,16 @@ class TestFaultedDifferential:
 
     @pytest.mark.parametrize("graph_name", FAMILIES)
     @pytest.mark.parametrize("strategy", ["ring-sweep", "ring-random"])
-    def test_walk_cols_cohort_under_dynamics(self, graph_name, strategy):
-        """Blocked edges cut a later ``walk_cols`` walker's route below
-        the routes already planned for earlier walkers."""
+    def test_walk_summary_cohort_under_dynamics(self, graph_name, strategy):
+        """Blocked edges cut a later ``walk_summary`` walker's route
+        below the routes already planned for earlier walkers."""
         graph = EXTENDED_GRAPHS[graph_name]
         rule = tuple(~(i % 3) for i in range(24))
         scripts = [
-            [("walk_cols", rule, None), ("wait", 3, None)],
-            [("walk_cols", rule[5:], None), ("walk_cols", rule, ("gt", 1))],
-            [("walk_cols", rule[2:], ("eq", 2)), ("wait", 4, None)],
+            [("walk_summary", rule, None), ("wait", 3, None)],
+            [("walk_summary", rule[5:], None),
+             ("walk_summary", rule, ("gt", 1))],
+            [("walk_summary", rule[2:], ("eq", 2)), ("wait", 4, None)],
         ]
         assert_equivalent(*run_both(
             graph, scripts, [0, 0, 0],
@@ -1176,7 +1234,7 @@ class TestStallsInSegments:
     """Blocked edges become stall rounds inside walk segments: the
     walker stays put and retries its port, exactly as the per-step
     retry does.  Ring ``0-1-2-3-4-5-0``; each scenario runs with
-    ``walk`` and with ``walk_cols``, and must match the reference."""
+    ``walk`` and with ``walk_summary``, and must match the reference."""
 
     GRAPH = EXTENDED_GRAPHS["ring6"]
 
@@ -1206,7 +1264,7 @@ class TestStallsInSegments:
             )
         ]
 
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     def test_stall_mid_segment(self, kind):
         """Three rounds blocked at node 2 sit inside one segment; the
         walker transits a plain waiter before and after."""
@@ -1217,7 +1275,7 @@ class TestStallsInSegments:
         )
         assert stalled and stalled[0].length == 11
 
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     def test_pair_meets_a_stalled_walker(self, kind):
         """The pair's second walker is held on node 2 while the first
         arrives there (CurCard 2 on arrival); both then leave
@@ -1230,7 +1288,7 @@ class TestStallsInSegments:
         )
         assert stalled and len(stalled[0].walkers) == 2
 
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     def test_stall_just_before_a_watched_node(self, kind):
         """The walker is held on node 2, next to a watching waiter on
         node 3: no segment may end on the stall, and none may enter
@@ -1242,7 +1300,7 @@ class TestStallsInSegments:
             others=[[("wait", 100, ("gt", 1))], [("wait", 60, None)]],
         )
 
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     def test_heap_event_due_mid_stall(self, kind):
         """A waiter's move falls due while the walker is held on node
         2: the segment holding the earlier stall on node 1 ends on the
@@ -1256,7 +1314,7 @@ class TestStallsInSegments:
         )
         assert stalled and stalled[0].length == 3
 
-    @pytest.mark.parametrize("kind", ["walk", "walk_cols"])
+    @pytest.mark.parametrize("kind", ["walk", "walk_summary"])
     def test_edge_blocked_for_good_under_a_horizon(self, kind):
         """Node 2's edges never come back: the walker stalls there
         until the graceful horizon ends the run."""
@@ -1412,8 +1470,10 @@ class TestPlannerParity:
             force_scalar_planner(monkeypatch)
         graph = ring(8)
         scripts = [
-            [("walk_cols", ports_along(graph, [0, 1, 0, 7, 0, 1]), None)],
-            [("walk_cols", ports_along(graph, [3, 4, 5, 6, 7]), ("gt", 1))],
+            [("walk_summary", ports_along(graph, [0, 1, 0, 7, 0, 1]),
+              None)],
+            [("walk_summary", ports_along(graph, [3, 4, 5, 6, 7]),
+              ("gt", 1))],
             [("wait", 30, None)],
         ]
         collector = ListProcessor()
@@ -1698,3 +1758,210 @@ class TestPacedWalks:
             self.RING, scripts, [0, 2], [0, 3], batched=False,
             dynamics=lambda g: make_dynamics("ring-sweep", g, seed=3),
         )
+
+
+def _by_rows(scripts):
+    """The scripts with every EXPLO run by its per-edge definition."""
+    return [
+        [("explo_rows",) + op[1:] if op[0] == "explo" else op
+         for op in script]
+        for script in scripts
+    ]
+
+
+class TestWalksByReference(_PlannerChoice):
+    """EXPLO reads its walks by reference: the minimum CurCard by
+    exception and the backtrack from a plan memoized on the forward
+    walk's route.  Every scenario must match the oracle (whose walks
+    arrive one edge at a time, so their backtracks take the fallback
+    that builds the plan from entry ports) and, on the fast scheduler,
+    EXPLO's per-edge definition: results, ``move_log`` and the event
+    stream.  On ring ``0-1-...-7-0`` the plans are absolute."""
+
+    RING8 = ring(8)
+
+    @pytest.fixture(autouse=True)
+    def _count_memo_backtracks(self, monkeypatch):
+        from repro.sim import agent as agent_mod
+
+        self.memo_backtracks = 0
+        route_backtrack = agent_mod._route_backtrack
+
+        def counted(*args):
+            self.memo_backtracks += 1
+            return route_backtrack(*args)
+
+        monkeypatch.setattr(agent_mod, "_route_backtrack", counted)
+
+    def plan(self, route):
+        return ports_along(self.RING8, route)
+
+    def check(self, scripts, wakes, starts):
+        fast, ref = run_both(self.RING8, scripts, wakes, starts)
+        assert_equivalent(fast, ref)
+        by_ref = _observed_run(self.RING8, scripts, wakes, starts)
+        by_rows = _observed_run(self.RING8, _by_rows(scripts), wakes, starts)
+        assert_equivalent(by_ref[:2], by_rows[:2])
+        assert by_ref[2] == by_rows[2]
+        return by_ref[0], fast[1].outcomes
+
+    @pytest.mark.parametrize("watch", [None, ("gt", 1), ("eq", 3)])
+    def test_two_groups_meet_mid_tour(self, watch):
+        """Tours from nodes 0 and 4 in opposite directions meet on node
+        2 in the forward part and again in the backtrack; a ``gt 1``
+        watch cuts both tours at the first meeting, an ``eq 3`` watch
+        never fires."""
+        scripts = [
+            [("explo", self.plan([0, 1, 2, 3, 4, 5]), watch, None)],
+            [("explo", self.plan([4, 3, 2, 1, 0, 7]), watch, None)],
+        ]
+        sim, outcomes = self.check(scripts, [0, 0], [0, 4])
+        if watch == ("gt", 1):
+            assert [o.payload for o in outcomes] == [[("explo!", 2, 2)]] * 2
+        else:
+            assert [o.payload[0][:3] for o in outcomes] == \
+                [("explo", 1, 10)] * 2
+            assert sim.segments == 2  # meetings do not cut segments
+            assert self.memo_backtracks >= 2
+
+    @pytest.mark.parametrize("same_plan", [True, False])
+    def test_every_arrival_is_a_meeting(self, same_plan):
+        """Two agents on node 1 tour one route.  With one plan object
+        they are one group of size 2; with two equal plan objects they
+        are two groups that meet on every arrival.  Either way every
+        CurCard is at least 2, and 3 on the waiter's node 3."""
+        plan = self.plan([1, 2, 3, 4, 5])
+        other = plan if same_plan else tuple(list(plan))
+        scripts = [
+            [("move", self.plan([0, 1])[0], None),
+             ("explo", plan, None, None)],
+            [("wait", 1, None), ("explo", other, None, None)],
+            [("wait", 40, None)],
+        ]
+        sim, outcomes = self.check(scripts, [0, 0, 0], [0, 1, 3])
+        for o in outcomes[:2]:
+            assert o.payload[-1][:3] == ("explo", 2, 8)
+        assert sim.segments == 2
+
+    def test_tour_cut_by_its_watch(self):
+        """A standing agent on node 3 fires the watch in the forward
+        part."""
+        scripts = [
+            [("explo", self.plan([0, 1, 2, 3, 4, 5]), ("gt", 1), None)],
+            [("wait", 40, None)],
+        ]
+        _sim, outcomes = self.check(scripts, [0, 0], [0, 3])
+        assert outcomes[0].payload == [("explo!", 3, 2)]
+
+    def test_tour_cut_by_its_watch_on_the_backtrack(self):
+        """An agent that steps onto node 0 in round 4 fires the watch on
+        the backtrack's last arrival."""
+        scripts = [
+            [("explo", self.plan([0, 1, 2, 3, 4, 5]), ("gt", 1), None)],
+            [("wait", 4, None), ("move", self.plan([7, 0])[0], None),
+             ("wait", 40, None)],
+        ]
+        _sim, outcomes = self.check(scripts, [0, 0], [0, 7])
+        assert outcomes[0].payload == [("explo!", 10, 2)]
+
+    @pytest.mark.parametrize("limit", [1, 3, 5, 6, 8, 11, 12, 20])
+    def test_tour_truncated_by_limit(self, limit):
+        """TZ's last slot: ``limit`` cuts the forward part (below the
+        plan's length 6) or the backtrack (below 12), passing a waiter
+        on node 2."""
+        scripts = [
+            [("explo", self.plan([0, 1, 2, 3, 4, 5, 6]), None, limit),
+             ("wait", 2, None)],
+            [("wait", 40, None)],
+        ]
+        _sim, outcomes = self.check(scripts, [0, 0], [0, 2])
+        assert outcomes[0].payload[0][2:4] == (min(limit, 12),) * 2
+
+    def test_forward_walk_split_by_another_agents_moves(self):
+        """Another agent's moves in rounds 2-4 force the tour's edges
+        there through the per-edge machinery, so the forward walk
+        arrives in pieces and its backtrack takes the fallback; the
+        entry ports are recorded by ``ctx.entries_log`` throughout."""
+        scripts = [
+            [("record",),
+             ("explo", self.plan([0, 1, 2, 3, 4, 5, 6]), None, None),
+             ("recorded",)],
+            [("wait", 2, None), ("move", 0, None), ("move", 1, None),
+             ("move", 0, None), ("wait", 40, None)],
+        ]
+        sim, outcomes = self.check(scripts, [0, 0], [0, 7])
+        assert sim.segments >= 2
+        assert self.memo_backtracks == 0
+        recorded = outcomes[0].payload[1][1]
+        assert len(recorded) == 12
+
+    def test_walk_recorded_by_entries_log(self):
+        """``ctx.entries_log`` records every entry port of a tour that
+        ran as whole segments, backtrack included."""
+        scripts = [
+            [("record",),
+             ("explo", self.plan([0, 1, 2, 3, 4, 5]), None, None),
+             ("recorded",)],
+            [("wait", 40, None)],
+        ]
+        sim, outcomes = self.check(scripts, [0, 0], [0, 3])
+        assert sim.segments == 2
+        assert self.memo_backtracks >= 1
+        recorded = outcomes[0].payload[1][1]
+        assert len(recorded) == 10
+
+
+class TestWalksByReferenceScalar(TestWalksByReference):
+    """The reference-path scenarios with the scalar planner forced: its
+    one-off routes carry the same references."""
+
+    planner = "scalar"
+
+
+@pytest.mark.parametrize("algorithm, family, size", [
+    ("gather_known", "ring", 5),
+    ("talking", "torus", 9),
+])
+def test_cleared_and_warm_route_caches_agree(algorithm, family, size):
+    """One trial from cleared route caches and again from warm ones
+    (chases, meeting and backtrack memos all reused): byte-identical
+    records, ``move_log`` and event stream."""
+    from repro.baselines import talking
+    from repro.events import stream as event_stream
+    from repro.runner.trial import execute_trial
+    from repro.sim import segments
+
+    (trial,) = ExperimentSpec(
+        algorithm=algorithm, family=family, sizes=(size,),
+        label_sets=((1, 2),), seeds=(0,),
+        wake_schedules=("staggered:3",),
+    ).trials()
+
+    def observe(clear):
+        if clear:
+            segments._GRAPH_CACHES.clear()
+        collector = ListProcessor()
+        with event_stream.attached(collector):
+            record = execute_trial(trial).record()
+        if clear:
+            segments._GRAPH_CACHES.clear()
+        built = []
+
+        class Traced(Simulation):
+            def __init__(self, *args, **kwargs):
+                kwargs["trace"] = True
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(runs, "Simulation", Traced)
+            mp.setattr(talking, "Simulation", Traced)
+            execute_trial(trial)
+        (sim,) = built
+        return record, sim.move_log, collector.events
+
+    cold = observe(clear=True)
+    warm = observe(clear=False)
+    assert cold[0]["ok"], cold[0]
+    assert cold == warm
+    assert cold[1] and cold[2]

@@ -289,6 +289,31 @@ class TestSchedulerIntegration:
         rows = series_by_name(snap)
         assert rows[("sim.wall_seconds", ())]["count"] == 1
 
+    def test_failed_run_flushes_its_counters(self):
+        """A run whose program raises still flushes once: it counts in
+        ``sim.runs.failed``, not ``sim.runs``, and its events count in
+        ``sim.events``.  The ``gather_unknown`` edge trial fails when
+        the smaller label wakes last (ROADMAP item 1)."""
+        from repro.core.gather_unknown import HypothesisBudgetError
+        from repro.core.runs import prepare_gather_unknown
+        from repro.graphs import single_edge
+
+        reg = Registry("t")
+        with metrics_registry.attached(reg):
+            prepared = prepare_gather_unknown(
+                single_edge(), [1, 2], wake_rounds=[10, 0]
+            )
+            with pytest.raises(HypothesisBudgetError):
+                prepared.run()
+        snap = reg.snapshot()
+        names = {row["name"] for row in snap["series"]}
+        assert "sim.runs" not in names
+        assert counter_value(snap, "sim.runs.failed") == 1
+        events = prepared.simulation._events
+        assert events > 0
+        assert counter_value(snap, "sim.events") == events
+        assert snap_mod.validate_snapshot(snap) == []
+
     def test_paced_batches_flush_once_per_run(self):
         """A ``gather_unknown`` run flushes its paced-walk batches; a
         run without paced walks adds no such series."""

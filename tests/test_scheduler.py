@@ -555,8 +555,8 @@ class TestWalkSegments:
         from repro.sim.agent import walk
 
         def walker(ctx):
-            trace = yield from walk(ctx, (~1,) * 6)
-            return trace
+            walked = yield from walk(ctx, (~1,) * 6)
+            return walked.rows()
 
         def sitter(ctx):
             yield from wait(ctx, 50)
@@ -590,13 +590,13 @@ class TestWalkSegments:
         from repro.sim.agent import walk
 
         def walker(ctx):
-            trace = yield from walk(ctx, (~1,) * 5, watch=("ne", 2))
-            return [rec[3] for rec in trace]
+            walked = yield from walk(ctx, (~1,) * 5, watch=("ne", 2))
+            return [rec[3] for rec in walked.rows()]
 
         def mover(ctx):
             yield from move(ctx, 0)
-            trace = yield from walk(ctx, (~1,) * 5, watch=("ne", 2))
-            return [rec[3] for rec in trace]
+            walked = yield from walk(ctx, (~1,) * 5, watch=("ne", 2))
+            return [rec[3] for rec in walked.rows()]
 
         g = self._ring6()
         sim = Simulation(
@@ -617,8 +617,8 @@ class TestWalkSegments:
         from repro.sim.agent import walk
 
         def walker(ctx):
-            trace = yield from walk(ctx, (~1,) * 4)
-            return [rec[3] for rec in trace]
+            walked = yield from walk(ctx, (~1,) * 4)
+            return [rec[3] for rec in walked.rows()]
 
         def dormant(ctx):
             yield from wait(ctx, 2)
@@ -676,8 +676,8 @@ class TestWalkSegments:
         from repro.sim.agent import walk
 
         def walker(ctx):
-            trace = yield from walk(ctx, (~1, ~1, ~1))
-            return [(rec[0], rec[2]) for rec in trace]
+            walked = yield from walk(ctx, (~1, ~1, ~1))
+            return [(rec[0], rec[2]) for rec in walked.rows()]
 
         g = self._ring6()
         result = run_single(g, walker)

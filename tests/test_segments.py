@@ -21,9 +21,10 @@ import pytest
 
 from repro.baselines.talking import run_talking_gather
 from repro.core.runs import run_gather_known
-from repro.graphs import random_regular, ring, torus
+from repro.graphs import PortGraph, random_regular, ring, torus
 from repro.metrics import registry as metrics_registry
 from repro.metrics.registry import Registry
+from repro.sim import segments
 from repro.sim.segments import RouteCache, route_cache_for
 
 GRAPHS = {
@@ -121,10 +122,17 @@ class TestRouteCache:
         assert len(nodes) == 2
         assert len(ents) == len(degs) == 1
 
-    def test_shared_graph_cache_is_per_object(self):
+    def test_shared_graph_cache_is_per_port_structure(self):
+        """Separately built equal graphs share one cache; the same
+        graph with two ports swapped at one node does not."""
         g = ring(6)
         assert route_cache_for(g) is route_cache_for(g)
-        assert route_cache_for(g) is not route_cache_for(ring(6))
+        assert route_cache_for(g) is route_cache_for(ring(6))
+        swapped = PortGraph(6, [
+            (u, 1 - pu if u == 0 else pu, v, 1 - pv if v == 0 else pv)
+            for u, pu, v, pv in g.edges()
+        ])
+        assert route_cache_for(swapped) is not route_cache_for(g)
 
     @pytest.mark.parametrize("graph_name", GRAPH_NAMES)
     def test_visit_index_lists_every_position(self, graph_name):
@@ -204,8 +212,37 @@ class TestRouteLookup:
             assert got == naive_chase(graph, steps, pos, node, 0)
 
 
+class TestMeetingMemo:
+    """``Chase.meetings`` equals a naive comparison of the two routes
+    at every length asked, in any order, from either chase."""
+
+    @pytest.mark.parametrize("graph_name", GRAPH_NAMES)
+    def test_meetings_match_a_naive_comparison(self, graph_name):
+        graph = GRAPHS[graph_name]
+        cache = RouteCache(graph)
+        rng = random.Random(f"meetings/{graph_name}")
+        steps = tuple(~rng.randrange(3) for _ in range(40))
+        a, _ = cache.lookup(steps, 0, 0, ~steps[0] % graph.degree(0))
+        b, _ = cache.lookup(steps, 0, 1, ~steps[0] % graph.degree(1))
+        assert a is not b
+        for off_a, off_b in ((0, 0), (2, 5)):
+            for m in (20, 5, 30, 12, 30):
+                naive = [
+                    i for i in range(m)
+                    if a.nodes[off_a + 1 + i] == b.nodes[off_b + 1 + i]
+                ]
+                assert a.meetings(off_a, b, off_b, m) == naive
+                assert b.meetings(off_b, a, off_a, m) == naive
+        # Memos key other chases by serial: no chase holds another.
+        for chase in (a, b):
+            for key in (chase._meets or {}):
+                assert all(type(part) is int for part in key)
+
+
 def trial_counts(run, graph):
-    """Events, walk segments and route chases of one trial."""
+    """Events, walk segments and route chases of one trial, from cold
+    route caches (an equal graph of an earlier test would warm them)."""
+    segments._GRAPH_CACHES.clear()
     reg = Registry("t")
     with metrics_registry.attached(reg):
         run(graph)
